@@ -113,7 +113,7 @@ func TestCoordinatorRetryAfterOn429(t *testing.T) {
 		c.MaxInFlight = 1
 		c.AdmissionWait = -1
 	})
-	if got := tight.adm.AcquireTier(context.Background(), false); got == nil {
+	if got := tight.plane.Admission().AcquireTier(context.Background(), false); got == nil {
 		t.Fatal("could not occupy the only slot")
 	}
 	req := httptest.NewRequest("POST", "/v1/score", bytes.NewReader([]byte(`{"alg":"srsp","u":0,"v":1}`)))

@@ -8,12 +8,10 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math"
 	"net/http"
 	"os"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -139,8 +137,9 @@ type Coordinator struct {
 	// prevent.
 	adminMu sync.Mutex
 
-	adm     *server.Admission
-	flights *server.FlightGroup
+	// plane runs every query through the node's own pipeline (see
+	// server.Plane) with the scatter as backend; metrics is its registry.
+	plane   *server.Plane
 	metrics *server.MetricsRegistry
 
 	// subs tracks live relay streams: active count for stats, shutdown
@@ -186,13 +185,17 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	cfg = cfg.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
+	metrics := server.NewMetricsRegistry()
 	co := &Coordinator{
-		cfg:     cfg,
-		shards:  sm,
-		client:  NewClient(cfg.Shards, cfg.HTTPClient, cfg.ShardTimeout, cfg.HedgeDelay),
-		adm:     server.NewTieredAdmission(cfg.MaxInFlight, cfg.AdmissionReserve, cfg.AdmissionWait),
-		flights: server.NewFlightGroup(),
-		metrics: server.NewMetricsRegistry(),
+		cfg:    cfg,
+		shards: sm,
+		client: NewClient(cfg.Shards, cfg.HTTPClient, cfg.ShardTimeout, cfg.HedgeDelay),
+		plane: server.NewPlane(ctx, "coordinator", server.Config{
+			QueryTimeout: cfg.QueryTimeout, MaxInFlight: cfg.MaxInFlight,
+			AdmissionReserve: cfg.AdmissionReserve, AdmissionWait: cfg.AdmissionWait,
+			SlowQuery: cfg.SlowQuery, LogJSON: cfg.LogJSON, Logger: cfg.Logger,
+		}, metrics),
+		metrics: metrics,
 		subs:    sub.NewRegistry(),
 		baseCtx: ctx,
 		cancel:  cancel,
@@ -358,129 +361,34 @@ func decodeStrict(w http.ResponseWriter, raw []byte, into any) bool {
 	return true
 }
 
-func (co *Coordinator) effectiveTimeout(ms int) time.Duration {
-	d := time.Duration(ms) * time.Millisecond
-	if d <= 0 || d > co.cfg.QueryTimeout {
-		return co.cfg.QueryTimeout
-	}
-	return d
+// queryRequest is a v1 query body: it validates itself into a
+// server.Query with the node's own validator.
+type queryRequest interface {
+	Query() (*server.Query, error)
 }
 
-// traceFor arms tracing for a request when any consumer exists: an
-// incoming Usimrank-Trace header, the debug flag, or a configured
-// slow-query threshold. Otherwise it returns (nil, zero Span) and the
-// request records nothing.
-func (co *Coordinator) traceFor(r *http.Request, shape string, debug bool) (*obs.Trace, obs.Span) {
-	hdr := r.Header.Get(obs.TraceHeader)
-	if hdr == "" && !debug && co.cfg.SlowQuery <= 0 {
-		return nil, obs.Span{}
+// decodeQuery reads, strictly decodes and validates a query body,
+// writing the 400 itself: the coordinator rejects exactly the requests
+// a node would, with the same bytes. Checks that need the graph (vertex
+// ranges, the index) are the owning shard's, relayed verbatim.
+func (co *Coordinator) decodeQuery(w http.ResponseWriter, r *http.Request, req queryRequest) ([]byte, *server.Query, bool) {
+	raw, ok := co.readBody(w, r)
+	if !ok || !decodeStrict(w, raw, req) {
+		return nil, nil, false
 	}
-	id, parent, _ := obs.ParseTraceHeader(hdr)
-	tr := obs.NewTrace(id, parent)
-	return tr, tr.Start(shape)
-}
-
-// debugKey forks a flight key for debug requests, exactly like the
-// single node: a debug leader's relayed or merged response carries a
-// profile a non-debug follower must never receive, and a debug
-// follower behind a non-debug leader would get none.
-func debugKey(key string, debug bool) string {
-	if debug {
-		return key + "|dbg"
-	}
-	return key
-}
-
-// adaptiveKey appends an eps-bearing request's accuracy target to its
-// flight key, exactly like the single node: adaptive and full-budget
-// queries (and different targets) must never share a flight.
-func adaptiveKey(key string, eps, delta float64) string {
-	if eps <= 0 {
-		return key
-	}
-	return fmt.Sprintf("%s|e%x|d%x", key, math.Float64bits(eps), math.Float64bits(delta))
-}
-
-// execute runs one admitted, coalesced, deadline-bounded scatter and
-// writes the error response when it fails — the coordinator-side twin
-// of the single node's execute, with downstream fan-out in place of an
-// engine call. When this request leads its flight, the scatter span
-// rides the flight context into the fan-out, so per-shard and
-// per-attempt spans (and the shards' own remote profiles) nest under
-// it.
-//
-// cheap marks a degradable (adaptive eps-bearing) query eligible for
-// the admission reserve tier; followers release their slot while
-// idling on the leader's result, exactly like the node server.
-func (co *Coordinator) execute(w http.ResponseWriter, r *http.Request, shape, alg string, timeoutMs int, cheap bool, key string, tr *obs.Trace, root obs.Span, fn func(ctx context.Context) (any, error)) (any, bool, bool) {
-	if tr != nil {
-		w.Header().Set(obs.TraceHeader, tr.ID())
-	}
-	timeout := co.effectiveTimeout(timeoutMs)
-	key = fmt.Sprintf("%s|t%d", key, timeout.Milliseconds())
-	waitCtx, cancelWait := context.WithTimeout(r.Context(), timeout)
-	defer cancelWait()
-
-	asp := root.Start("admission_wait")
-	release := co.adm.AcquireTier(waitCtx, cheap)
-	if release == nil {
-		asp.Error(errors.New("admission rejected"))
-		asp.End()
-		co.metrics.AdmissionRejected.Add(1)
-		w.Header().Set("Retry-After", server.RetryAfterSeconds(co.adm.Wait()))
-		server.WriteError(w, http.StatusTooManyRequests, server.CodeOverloaded,
-			fmt.Sprintf("coordinator saturated: %d queries in flight", co.cfg.MaxInFlight))
-		return nil, false, false
-	}
-	asp.End()
-	co.metrics.InFlight.Add(1)
-	var relOnce sync.Once
-	releaseSlot := func() {
-		relOnce.Do(func() {
-			co.metrics.InFlight.Add(-1)
-			release()
-		})
-	}
-	defer releaseSlot()
-
-	start := time.Now()
-	csp := root.Start("coalesce")
-	val, coalesced, err := co.flights.Do(waitCtx, key, releaseSlot, func() func() (any, error) {
-		fctx, cancelFlight := context.WithTimeout(co.baseCtx, timeout)
-		sct := root.Start("scatter")
-		fctx = obs.ContextWithSpan(fctx, sct)
-		return func() (any, error) {
-			defer sct.End()
-			defer cancelFlight()
-			return fn(fctx)
-		}
-	})
-	if csp.Enabled() {
-		var lead int64
-		if !coalesced {
-			lead = 1
-		}
-		csp.Add("leader", lead)
-	}
-	csp.End()
-	elapsed := time.Since(start)
-	// A disconnected client's cancellation is not a serving error: count
-	// it on its own counter and skip the write (see the node server).
-	if err != nil && errors.Is(err, context.Canceled) && r.Context().Err() != nil {
-		co.metrics.ClientGone.Add(1)
-		co.metrics.RecordQuery(shape, alg, elapsed, coalesced, nil)
-		root.Error(err)
-		server.LogSlowQuery(co.cfg.Logger, co.cfg.LogJSON, co.cfg.SlowQuery, shape, alg, tr, elapsed, coalesced, err)
-		return nil, coalesced, false
-	}
-	co.metrics.RecordQuery(shape, alg, elapsed, coalesced, err)
-	root.Error(err)
-	server.LogSlowQuery(co.cfg.Logger, co.cfg.LogJSON, co.cfg.SlowQuery, shape, alg, tr, elapsed, coalesced, err)
+	q, err := req.Query()
 	if err != nil {
-		co.writeClusterError(w, err)
-		return nil, coalesced, false
+		server.WriteError(w, http.StatusBadRequest, server.CodeBadRequest, err.Error())
+		return nil, nil, false
 	}
-	return val, coalesced, true
+	return raw, q, true
+}
+
+// backend is the coordinator's server.Backend: a downstream fan-out
+// under a scatter span, so per-shard and per-attempt spans (and the
+// shards' own remote profiles) nest under it.
+func (co *Coordinator) backend(compute func(ctx context.Context) (any, error)) server.Backend {
+	return server.Backend{Span: "scatter", Fail: co.writeClusterError, Compute: compute}
 }
 
 // maxSourcesPerChunk bounds one coordinator-built sources array. A
@@ -565,21 +473,22 @@ func (co *Coordinator) doShard(ctx context.Context, shard int, shape, path strin
 	return resp, err
 }
 
-// passThrough executes a single-shard shape: the owning shard's
-// definitive response (success or error) is relayed verbatim. A debug
-// profile on this path is the NODE's profile riding the relayed body —
-// the coordinator cannot splice its own spans into bytes it must not
-// touch, so its scatter/attempt spans surface only via the slow-query
-// log and an explicit Usimrank-Trace header.
-func (co *Coordinator) passThrough(w http.ResponseWriter, r *http.Request, shape, alg string, timeoutMs int, cheap bool, key string, tr *obs.Trace, root obs.Span, shard int, path string, raw []byte) {
-	val, _, ok := co.execute(w, r, shape, alg, timeoutMs, cheap, key, tr, root, func(ctx context.Context) (any, error) {
+// passThrough executes a single-shard shape: the shard owning source
+// vertex u answers, and its definitive response (success or error) is
+// relayed verbatim. A debug profile on this path is the NODE's profile
+// riding the relayed body — the coordinator cannot splice its own spans
+// into bytes it must not touch, so its scatter/attempt spans surface
+// only via the slow-query log and an explicit Usimrank-Trace header.
+func (co *Coordinator) passThrough(w http.ResponseWriter, r *http.Request, q *server.Query, u int, path string, raw []byte) {
+	shard := co.shards.Of(u)
+	val, _, _, err := co.plane.Run(w, r, q, co.Generation(), co.backend(func(ctx context.Context) (any, error) {
 		sp := obs.SpanFromContext(ctx).Start(shardName(shard))
-		resp, err := co.doShard(obs.ContextWithSpan(ctx, sp), shard, shape, path, raw)
+		resp, err := co.doShard(obs.ContextWithSpan(ctx, sp), shard, q.Shape, path, raw)
 		sp.Error(err)
 		sp.End()
 		return resp, err
-	})
-	if !ok {
+	}))
+	if err != nil {
 		return
 	}
 	resp := val.(*ShardResponse)
@@ -588,7 +497,7 @@ func (co *Coordinator) passThrough(w http.ResponseWriter, r *http.Request, shape
 	// verbatim), but the stats must not read all-healthy while clients
 	// stream 504s from the shards' own deadlines.
 	if resp.Status >= 400 {
-		co.metrics.CountError(shape, alg)
+		co.metrics.CountError(q.Shape, q.Alg)
 		if resp.Status == http.StatusGatewayTimeout {
 			co.metrics.DeadlineExceeded.Add(1)
 		}
@@ -727,104 +636,37 @@ func allCanceled(se *ShardError) bool {
 // ---- the five query shapes ---------------------------------------------
 
 func (co *Coordinator) handleScore(w http.ResponseWriter, r *http.Request) {
-	raw, ok := co.readBody(w, r)
-	if !ok {
-		return
-	}
 	var req server.ScoreRequest
-	if !decodeStrict(w, raw, &req) {
-		return
+	if raw, q, ok := co.decodeQuery(w, r, &req); ok {
+		co.passThrough(w, r, q, req.U, "/v1/score", raw)
 	}
-	alg, err := usimrank.ParseAlgorithm(req.Alg)
-	if err != nil {
-		server.WriteError(w, http.StatusBadRequest, server.CodeBadRequest, err.Error())
-		return
-	}
-	shard := co.shards.Of(req.U)
-	key := fmt.Sprintf("score|g%d|%s|%d|%d", co.Generation(), alg, req.U, req.V)
-	key = debugKey(adaptiveKey(key, req.Eps, req.Delta), req.Debug)
-	tr, root := co.traceFor(r, "score", req.Debug)
-	co.passThrough(w, r, "score", alg.String(), req.TimeoutMs, req.Eps > 0, key, tr, root, shard, "/v1/score", raw)
 }
 
+// handleSource routes "indexed" like any other source query: the owning
+// shard answers from its partition's index (each node serves the index
+// built for its own graph) or rejects it with 400 when it holds none.
 func (co *Coordinator) handleSource(w http.ResponseWriter, r *http.Request) {
-	raw, ok := co.readBody(w, r)
-	if !ok {
-		return
-	}
 	var req server.SourceRequest
-	if !decodeStrict(w, raw, &req) {
-		return
+	if raw, q, ok := co.decodeQuery(w, r, &req); ok {
+		co.passThrough(w, r, q, req.U, "/v1/source", raw)
 	}
-	// "indexed" is a source-only algorithm the engine enum does not
-	// cover: it routes like any other single-shard source query, and the
-	// owning shard answers from its partition's index (each node serves
-	// the index built for its own graph; the shard rejects it with 400
-	// when it holds none).
-	algName := server.AlgIndexed
-	if !strings.EqualFold(req.Alg, server.AlgIndexed) {
-		alg, err := usimrank.ParseAlgorithm(req.Alg)
-		if err != nil {
-			server.WriteError(w, http.StatusBadRequest, server.CodeBadRequest, err.Error())
-			return
-		}
-		algName = alg.String()
-	}
-	shard := co.shards.Of(req.U)
-	candKey := "all"
-	if req.Candidates != nil {
-		candKey = server.DigestInts(req.Candidates)
-	}
-	key := fmt.Sprintf("source|g%d|%s|%d|%s", co.Generation(), algName, req.U, candKey)
-	key = debugKey(adaptiveKey(key, req.Eps, req.Delta), req.Debug)
-	tr, root := co.traceFor(r, "source", req.Debug)
-	co.passThrough(w, r, "source", algName, req.TimeoutMs, req.Eps > 0, key, tr, root, shard, "/v1/source", raw)
 }
 
 func (co *Coordinator) handleTopK(w http.ResponseWriter, r *http.Request) {
-	raw, ok := co.readBody(w, r)
+	var req server.TopKRequest
+	raw, q, ok := co.decodeQuery(w, r, &req)
 	if !ok {
 		return
 	}
-	var req server.TopKRequest
-	if !decodeStrict(w, raw, &req) {
-		return
-	}
-	alg, err := usimrank.ParseAlgorithm(req.Alg)
-	if err != nil {
-		server.WriteError(w, http.StatusBadRequest, server.CodeBadRequest, err.Error())
-		return
-	}
-	if req.K < 1 {
-		server.WriteError(w, http.StatusBadRequest, server.CodeBadRequest, fmt.Sprintf("k = %d < 1", req.K))
-		return
-	}
 	if req.U != nil {
-		if req.Sources != nil {
-			server.WriteError(w, http.StatusBadRequest, server.CodeBadRequest,
-				`"sources" is only valid for pairs queries (omit "u")`)
-			return
-		}
-		shard := co.shards.Of(*req.U)
-		key := fmt.Sprintf("topk|g%d|%s|u%d|k%d", co.Generation(), alg, *req.U, req.K)
-		key = debugKey(adaptiveKey(key, req.Eps, req.Delta), req.Debug)
-		tr, root := co.traceFor(r, "topk", req.Debug)
-		co.passThrough(w, r, "topk", alg.String(), req.TimeoutMs, req.Eps > 0, key, tr, root, shard, "/v1/topk", raw)
+		co.passThrough(w, r, q, *req.U, "/v1/topk", raw)
 		return
 	}
 
 	// Pairs: scatter the source partition, k-way merge the partial
 	// top-k lists under the canonical order.
 	st := co.state.Load()
-	var key string
-	if req.Sources != nil {
-		key = fmt.Sprintf("topk|g%d|%s|pairs|k%d|s%s", st.gen, alg, req.K, server.DigestInts(req.Sources))
-	} else {
-		key = fmt.Sprintf("topk|g%d|%s|pairs|k%d", st.gen, alg, req.K)
-	}
-	key = debugKey(adaptiveKey(key, req.Eps, req.Delta), req.Debug)
-	tr, root := co.traceFor(r, "topk", req.Debug)
-	val, coalesced, ok := co.execute(w, r, "topk", alg.String(), req.TimeoutMs, req.Eps > 0, key, tr, root, func(ctx context.Context) (any, error) {
+	val, coalesced, prof, err := co.plane.Run(w, r, q, st.gen, co.backend(func(ctx context.Context) (any, error) {
 		// The O(V) partition and the scatter bodies are built inside
 		// the flight, so coalescing followers joining this key pay
 		// nothing for work the leader's tasks already carry.
@@ -898,21 +740,16 @@ func (co *Coordinator) handleTopK(w http.ResponseWriter, r *http.Request) {
 		merged.results = mergeTopK(req.K, lists)
 		msp.End()
 		return merged, nil
-	})
-	if !ok {
+	}))
+	if err != nil {
 		return
 	}
 	mg := val.(mergedTopK)
-	resp := server.TopKResponse{
-		Alg: alg.String(), U: nil, K: req.K,
+	server.WriteJSON(w, http.StatusOK, server.TopKResponse{
+		Alg: q.Alg, U: nil, K: req.K,
 		Results: mg.results, Coalesced: coalesced,
-		Adaptive: mg.adaptive, Partial: mg.partial,
-	}
-	if req.Debug {
-		root.End()
-		resp.Profile = tr.Profile()
-	}
-	server.WriteJSON(w, http.StatusOK, resp)
+		Adaptive: mg.adaptive, Partial: mg.partial, Profile: prof,
+	})
 }
 
 // mergedTopK bundles a merged pairs ranking with the shards' folded
@@ -924,30 +761,12 @@ type mergedTopK struct {
 }
 
 func (co *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
-	raw, ok := co.readBody(w, r)
+	var req server.BatchRequest
+	_, q, ok := co.decodeQuery(w, r, &req)
 	if !ok {
 		return
 	}
-	var req server.BatchRequest
-	if !decodeStrict(w, raw, &req) {
-		return
-	}
-	alg, err := usimrank.ParseAlgorithm(req.Alg)
-	if err != nil {
-		server.WriteError(w, http.StatusBadRequest, server.CodeBadRequest, err.Error())
-		return
-	}
-	if len(req.Pairs) == 0 {
-		server.WriteError(w, http.StatusBadRequest, server.CodeBadRequest, "empty pairs")
-		return
-	}
-	flat := make([]int, 0, 2*len(req.Pairs))
-	for _, p := range req.Pairs {
-		flat = append(flat, p[0], p[1])
-	}
-	key := debugKey(fmt.Sprintf("batch|g%d|%s|%s", co.Generation(), alg, server.DigestInts(flat)), req.Debug)
-	tr, root := co.traceFor(r, "batch", req.Debug)
-	val, coalesced, ok := co.execute(w, r, "batch", alg.String(), req.TimeoutMs, false, key, tr, root, func(ctx context.Context) (any, error) {
+	val, coalesced, prof, err := co.plane.Run(w, r, q, co.Generation(), co.backend(func(ctx context.Context) (any, error) {
 		// Plan and marshal inside the flight, like the pairs top-k
 		// path: coalescing followers must not duplicate the regroup of
 		// a near-cap pairs payload just to throw it away.
@@ -985,18 +804,13 @@ func (co *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		return out, nil
-	})
-	if !ok {
+	}))
+	if err != nil {
 		return
 	}
-	resp := server.BatchResponse{
-		Alg: alg.String(), Results: val.([]server.BatchPairResult), Coalesced: coalesced,
-	}
-	if req.Debug {
-		root.End()
-		resp.Profile = tr.Profile()
-	}
-	server.WriteJSON(w, http.StatusOK, resp)
+	server.WriteJSON(w, http.StatusOK, server.BatchResponse{
+		Alg: q.Alg, Results: val.([]server.BatchPairResult), Coalesced: coalesced, Profile: prof,
+	})
 }
 
 // ---- stats -------------------------------------------------------------
@@ -1038,17 +852,7 @@ func (co *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	pw.Header("usimrank_admin_ops_total", "counter", "Admin mutations applied across the fleet.")
 	pw.Uint("usimrank_admin_ops_total", nil, co.adminOps.Load())
 
-	ss := co.subs.Snapshot()
-	pw.Header("usimrank_subscriptions_active", "gauge", "Live relayed subscription streams.")
-	pw.Int("usimrank_subscriptions_active", nil, ss.Active)
-	pw.Header("usimrank_sub_wakeups_total", "counter", "Subscription wake-ups delivered.")
-	pw.Uint("usimrank_sub_wakeups_total", nil, ss.Wakeups)
-	pw.Header("usimrank_sub_pushes_total", "counter", "Update events relayed to subscribers.")
-	pw.Uint("usimrank_sub_pushes_total", nil, ss.Pushes)
-	pw.Header("usimrank_sub_coalesced_total", "counter", "Generations coalesced into a newer pending push.")
-	pw.Uint("usimrank_sub_coalesced_total", nil, ss.Coalesced)
-	pw.Header("usimrank_sub_dropped_total", "counter", "Subscriptions ended by a terminal error or gone event.")
-	pw.Uint("usimrank_sub_dropped_total", nil, ss.Dropped)
+	server.WriteSubscriptionMetrics(pw, co.subs)
 
 	pw.Header("usimrank_client_hedges_total", "counter", "Replica attempts launched by the hedge timer.")
 	counters := co.client.Counters()

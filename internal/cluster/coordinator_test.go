@@ -180,27 +180,45 @@ func TestAdminConsistentRejectionRelays(t *testing.T) {
 }
 
 // TestCoordinatorValidation: requests the coordinator can reject
-// locally never touch a shard.
+// locally never touch a shard, and every invalid query gets the status
+// and body bytes a node answers the same request with.
 func TestCoordinatorValidation(t *testing.T) {
 	g := testGraph()
 	co := bootCluster(t, g, 2)
+	single, err := server.New(g, "test://single", server.Config{Engine: testOptions()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer single.Close()
 	cases := []struct {
 		path, body string
 		status     int
 	}{
 		{"/v1/score", `{"alg":"pagerank","u":0,"v":1}`, 400},
 		{"/v1/score", `{"alg":"srsp","u":0,"v":1,"bogus":3}`, 400},
+		{"/v1/score", `{"alg":"srsp","u":0,"v":1,"eps":-0.1}`, 400},
+		{"/v1/source", `{"alg":"pagerank","u":0}`, 400},
+		{"/v1/source", `{"alg":"srsp","u":0,"delta":0.1}`, 400},
 		{"/v1/topk", `{"alg":"srsp","k":0}`, 400},
 		{"/v1/topk", `{"alg":"srsp","u":1,"k":2,"sources":[1,2]}`, 400},
+		{"/v1/topk", `{"alg":"srsp","k":2,"sources":[1,1]}`, 400},
 		{"/v1/batch", `{"alg":"srsp","pairs":[]}`, 400},
 		{"/v1/admin/update", `{"updates":[]}`, 400},
 		{"/v1/admin/update", `{"updates":[{"op":"explode","u":0,"v":1}]}`, 400},
 		{"/v1/admin/reload", `{"graph":""}`, 400},
 		{"/v1/nope", `{}`, 404},
 	}
+	queryShapes := map[string]bool{"/v1/score": true, "/v1/source": true, "/v1/topk": true, "/v1/batch": true}
 	for _, c := range cases {
-		if status, body := post(t, co, c.path, c.body); status != c.status {
+		status, body := post(t, co, c.path, c.body)
+		if status != c.status {
 			t.Fatalf("%s %s: status %d, want %d: %s", c.path, c.body, status, c.status, body)
+		}
+		if !queryShapes[c.path] {
+			continue
+		}
+		if wantStatus, want := post(t, single, c.path, c.body); status != wantStatus || !bytes.Equal(body, want) {
+			t.Fatalf("%s %s: coordinator (%d) %s\nsingle node (%d) %s", c.path, c.body, status, body, wantStatus, want)
 		}
 	}
 	// Out-of-range vertices are the owning shard's call — the relayed

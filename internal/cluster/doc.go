@@ -17,6 +17,20 @@
 // full nodes serving the same shard's traffic, used for hedged
 // failover.
 //
+// # The query pipeline
+//
+// The coordinator has no request pipeline of its own. Every query is
+// validated by the node's validator for its shape (server.ScoreRequest
+// .Query and friends), so an invalid request gets the node's 400 bytes
+// without touching a shard, and then runs through the node's pipeline,
+// server.Plane.Run: the same deadline, tiered admission, flight keys,
+// client-gone accounting, metrics and slow-query log. The coordinator
+// passes in a server.Backend carrying the "scatter" span name,
+// writeClusterError as the error writer, and the fan-out — a
+// pass-through or a scatter-merge — as the compute; it pins no engine.
+// Checks that need the graph (vertex ranges, index presence, duplicate
+// sources) stay with the owning shard, whose 400 is relayed verbatim.
+//
 // # The shard-map contract
 //
 // ShardMap.Of(v) = splitmix64(v) mod shards. The function is

@@ -45,10 +45,10 @@ import (
 // least one round committed the query returns its best-so-far estimate
 // with Partial=true and a nil error. Zero committed rounds surface
 // ctx's error as usual. The loop also stops before a round it cannot
-// finish — when the remaining deadline is under ~1.5× the previous
-// round's duration — so deadline-pressured queries return a committed
-// interval instead of burning the budget on a round that will be
-// thrown away. All sampled strategies share the v2 kernel here: SR-SP's
+// finish — when the remaining deadline is under 2× the previous
+// round's duration, since each round doubles the walks — so
+// deadline-pressured queries return a committed interval instead of
+// burning the budget on a round that will be thrown away. All sampled strategies share the v2 kernel here: SR-SP's
 // filter bit-vectors amortise over fixed sweeps but cannot extend a
 // committed walk set round over round, so AlgSRSP's adaptive tail runs
 // the same lockstep walks as AlgTwoPhase's.
@@ -293,8 +293,10 @@ func (e *Engine) adaptiveSweep(ctx context.Context, p *parallel.Pool, u int, pre
 			break
 		}
 		// Don't start a round the deadline cannot fit: an aborted round
-		// is discarded whole, so its walks would be pure waste.
-		if res.Rounds > 0 && hasDeadline && time.Until(deadline) < lastRound*3/2 {
+		// is discarded whole, so its walks would be pure waste. The
+		// schedule doubles the walks per round, so budget the next round
+		// at twice the last one.
+		if res.Rounds > 0 && hasDeadline && time.Until(deadline) < 2*lastRound {
 			break
 		}
 		start := time.Now()

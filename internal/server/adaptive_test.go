@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -266,10 +265,11 @@ func TestAdaptivePartialUnderDeadline(t *testing.T) {
 // long to back off, derived from the admission grace.
 func TestRetryAfterOn429(t *testing.T) {
 	s := newTestServer(t, Config{Engine: testOptions(), MaxInFlight: 1, AdmissionWait: -1})
-	if !s.adm.Acquire(context.Background()) {
+	release := s.plane.adm.AcquireTier(context.Background(), false)
+	if release == nil {
 		t.Fatal("could not occupy the only slot")
 	}
-	defer s.adm.Release()
+	defer release()
 	var buf bytes.Buffer
 	if err := json.NewEncoder(&buf).Encode(ScoreRequest{Alg: "srsp", U: 0, V: 1}); err != nil {
 		t.Fatal(err)
@@ -359,14 +359,18 @@ func TestTieredAdmission(t *testing.T) {
 // coalesced-wait window.
 func blockFlight(t *testing.T, s *Server, alg usimrank.Algorithm, u, v int) (release func()) {
 	t.Helper()
+	q, err := (&ScoreRequest{Alg: alg.String(), U: u, V: v}).Query()
+	if err != nil {
+		t.Fatal(err)
+	}
 	h := s.engine()
-	key := fmt.Sprintf("score|g%d|%s|%d|%d|t%d", h.gen, alg, u, v, s.cfg.QueryTimeout.Milliseconds())
+	key := q.flightKey(h.gen, s.cfg.QueryTimeout)
 	h.release()
 	block := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		s.flights.Do(context.Background(), key, nil, func() func() (any, error) {
+		s.plane.flights.Do(context.Background(), key, nil, func() func() (any, error) {
 			return func() (any, error) {
 				<-block
 				return 0.0, nil
@@ -376,9 +380,9 @@ func blockFlight(t *testing.T, s *Server, alg usimrank.Algorithm, u, v int) (rel
 	// Wait until the flight is registered so subsequent requests are
 	// guaranteed followers.
 	for {
-		s.flights.mu.Lock()
-		_, ok := s.flights.m[key]
-		s.flights.mu.Unlock()
+		s.plane.flights.mu.Lock()
+		_, ok := s.plane.flights.m[key]
+		s.plane.flights.mu.Unlock()
 		if ok {
 			break
 		}
@@ -401,10 +405,11 @@ func TestFollowerReleasesAdmissionSlot(t *testing.T) {
 	unblock := blockFlight(t, s, usimrank.AlgSRSP, 0, 1)
 	defer unblock()
 	// Simulate the leader's held slot: one of two is gone.
-	if !s.adm.Acquire(context.Background()) {
+	release := s.plane.adm.AcquireTier(context.Background(), false)
+	if release == nil {
 		t.Fatal("could not take the leader's slot")
 	}
-	defer s.adm.Release()
+	defer release()
 
 	// The follower joins the blocked flight; with the fix it gives its
 	// slot back immediately and idles slot-free.

@@ -17,19 +17,12 @@ import (
 // eps-bearing requests, which stop sampling early) may fall back to.
 // The reserve keeps a saturating flood of full-budget queries from
 // starving the approximate tier whose whole point is to degrade
-// gracefully under load. With reserve 0 (the default) behavior is
-// identical to the single-pool semaphore.
+// gracefully under load. With reserve 0 (the default) it is a plain
+// single-pool semaphore.
 type Admission struct {
 	general  chan struct{} // every query contends here first
 	reserved chan struct{} // cheap-tier fallback; nil when reserve == 0
 	wait     time.Duration
-}
-
-// NewAdmission builds a single-tier semaphore (no reserve) — the
-// historical constructor, kept for callers that never route cheap
-// queries.
-func NewAdmission(maxInFlight int, wait time.Duration) *Admission {
-	return NewTieredAdmission(maxInFlight, 0, wait)
 }
 
 // NewTieredAdmission splits maxInFlight total slots into a general
@@ -55,8 +48,8 @@ func NewTieredAdmission(maxInFlight, reserve int, wait time.Duration) *Admission
 
 // AcquireTier claims a slot for a query of the given tier, waiting up
 // to the Admission grace (bounded by the request context). It returns
-// a release func that frees exactly the slot claimed — callers must
-// not pair it with Release — or nil when the request must be rejected.
+// a release func that frees exactly the slot claimed, or nil when the
+// request must be rejected.
 // Cheap queries try the general pool first so the reserve stays free
 // as long as possible. The fast path — a free slot — never allocates
 // a timer.
@@ -102,15 +95,6 @@ func (a *Admission) AcquireTier(ctx context.Context, cheap bool) func() {
 
 func (a *Admission) releaseGeneral()  { <-a.general }
 func (a *Admission) releaseReserved() { <-a.reserved }
-
-// Acquire claims a general-pool slot (the single-tier API). It returns
-// false when the request must be rejected.
-func (a *Admission) Acquire(ctx context.Context) bool {
-	return a.AcquireTier(ctx, false) != nil
-}
-
-// Release frees a slot claimed by Acquire.
-func (a *Admission) Release() { <-a.general }
 
 // Wait is the admission grace: how long a request may block for a slot
 // before being rejected. Handlers derive the 429 Retry-After hint from

@@ -79,7 +79,7 @@ func BenchmarkServerThroughput(b *testing.B) {
 // query that carries no trace header, no debug flag, and runs under no
 // slow-query threshold. The bare leg is the naked zero-allocation v2
 // kernel call; the off leg wraps the identical call in exactly the
-// disabled-tracing span operations the server's execute path performs
+// disabled-tracing span operations the query pipeline (Plane.Run) performs
 // per query (nil *Trace, zero Spans, context pass-through, the
 // ambient-span lookup the kernel wrappers do). CI gates the off leg at
 // 0 allocs/op and within 2% of bare ns/op: tracing must be free until
@@ -103,7 +103,7 @@ func BenchmarkTracingOverhead(b *testing.B) {
 	})
 	b.Run("off", func(b *testing.B) {
 		b.ReportAllocs()
-		var tr *obs.Trace // disarmed: what traceFor returns without a consumer
+		var tr *obs.Trace // disarmed: what Plane.trace returns without a consumer
 		root := tr.Start("score")
 		for i := 0; i < b.N; i++ {
 			asp := root.Start("admission_wait")

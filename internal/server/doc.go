@@ -40,6 +40,29 @@
 //     only the cost differs (orders of magnitude, see the ApplyUpdates
 //     benchmarks).
 //
+// # The query pipeline
+//
+// Every query runs through one pipeline, Plane.Run (pipeline.go): a
+// POST on any of the four query shapes, every subscription push, and —
+// in package cluster — every coordinator query. It owns the per-query
+// policy: tracing, the effective deadline, tiered admission (a
+// follower gives its slot back), coalescing under the query's flight
+// key, the client-gone accounting, the per-shape metrics and the
+// slow-query log. Each shape has one validator and one flight-key
+// format (query.go); node handlers, coordinator handlers and
+// subscriptions all use them, so the planes reject the same requests
+// with the same bytes. The callers differ only in the Backend they pass
+// in and in whether there is an HTTP exchange:
+//
+//   - the compute span: "engine_compute" on a node, "scatter" on a
+//     coordinator;
+//   - the engine handle the leader re-pins for the flight's lifetime:
+//     node queries and pushes only;
+//   - the error writer: writeQueryError on a node, writeClusterError
+//     on a coordinator;
+//   - a push passes no request or response writer: it is neither
+//     recorded nor written, and gets its result back to encode.
+//
 // # Endpoints
 //
 // All query endpoints accept POST with a JSON body and return JSON.

@@ -183,27 +183,29 @@ func TestHistogramQuantiles(t *testing.T) {
 
 // TestAdmissionSemaphore covers the slot accounting outside HTTP.
 func TestAdmissionSemaphore(t *testing.T) {
-	a := NewAdmission(2, -1)
+	a := NewTieredAdmission(2, 0, -1)
 	ctx := context.Background()
-	if !a.Acquire(ctx) || !a.Acquire(ctx) {
+	ra1, ra2 := a.AcquireTier(ctx, false), a.AcquireTier(ctx, false)
+	if ra1 == nil || ra2 == nil {
 		t.Fatal("free slots rejected")
 	}
-	if a.Acquire(ctx) {
+	if a.AcquireTier(ctx, false) != nil {
 		t.Fatal("third acquire succeeded on a 2-slot semaphore with no grace")
 	}
-	a.Release()
-	if !a.Acquire(ctx) {
+	ra1()
+	if a.AcquireTier(ctx, false) == nil {
 		t.Fatal("freed slot rejected")
 	}
 	// With a grace, a waiter succeeds once a slot frees.
-	b := NewAdmission(1, time.Second)
-	if !b.Acquire(ctx) {
+	b := NewTieredAdmission(1, 0, time.Second)
+	rb := b.AcquireTier(ctx, false)
+	if rb == nil {
 		t.Fatal("first acquire failed")
 	}
 	done := make(chan bool, 1)
-	go func() { done <- b.Acquire(ctx) }()
+	go func() { done <- b.AcquireTier(ctx, false) != nil }()
 	time.Sleep(5 * time.Millisecond)
-	b.Release()
+	rb()
 	if !<-done {
 		t.Fatal("waiter within grace did not get the freed slot")
 	}

@@ -144,9 +144,9 @@ type MetricsRegistry struct {
 	AdmissionRejected atomic.Uint64
 	DeadlineExceeded  atomic.Uint64
 	// ClientGone counts requests abandoned by their client; they do not
-	// feed the per-shape error counters (see Server.execute).
+	// feed the per-shape error counters (see Plane.Run).
 	ClientGone atomic.Uint64
-	// Adaptive serving-path counters (leaders only; see noteAdaptive).
+	// Adaptive serving-path counters (leaders only; see Server.account).
 	AdaptiveQueries    atomic.Uint64
 	PartialResults     atomic.Uint64
 	AdaptiveRounds     atomic.Uint64

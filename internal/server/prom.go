@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"usimrank/internal/obs"
+	"usimrank/internal/sub"
 )
 
 // handleMetrics serves GET /metrics in Prometheus text exposition
@@ -38,17 +39,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	pw.Header("usimrank_graph_arcs_updated_total", "counter", "Arc mutations applied by incremental updates.")
 	pw.Uint("usimrank_graph_arcs_updated_total", nil, s.arcsUpdated.Load())
 
-	ss := s.subs.Snapshot()
-	pw.Header("usimrank_subscriptions_active", "gauge", "Open /v1/subscribe streams.")
-	pw.Int("usimrank_subscriptions_active", nil, ss.Active)
-	pw.Header("usimrank_sub_wakeups_total", "counter", "Subscriptions woken by admin mutations (clean-to-dirty transitions).")
-	pw.Uint("usimrank_sub_wakeups_total", nil, ss.Wakeups)
-	pw.Header("usimrank_sub_pushes_total", "counter", "Update events pushed to subscribers (snapshots excluded).")
-	pw.Uint("usimrank_sub_pushes_total", nil, ss.Pushes)
-	pw.Header("usimrank_sub_coalesced_total", "counter", "Subscription wake-ups folded into an already-pending push.")
-	pw.Uint("usimrank_sub_coalesced_total", nil, ss.Coalesced)
-	pw.Header("usimrank_sub_dropped_total", "counter", "Subscription streams torn down by a failed push.")
-	pw.Uint("usimrank_sub_dropped_total", nil, ss.Dropped)
+	WriteSubscriptionMetrics(pw, s.subs)
 
 	rcLen, rcEvict := h.eng.RowCacheStats()
 	rcHits, rcMisses, _ := h.eng.RowCacheCounters()
@@ -93,4 +84,22 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 
 	obs.WriteRuntimeMetrics(pw)
+}
+
+// WriteSubscriptionMetrics renders a subscription registry's families:
+// a node's /v1/subscribe streams, or a coordinator's relays of them.
+// Both /metrics handlers call it, so the two planes describe the
+// families identically.
+func WriteSubscriptionMetrics(pw *obs.PromWriter, r *sub.Registry) {
+	ss := r.Snapshot()
+	pw.Header("usimrank_subscriptions_active", "gauge", "Open /v1/subscribe streams.")
+	pw.Int("usimrank_subscriptions_active", nil, ss.Active)
+	pw.Header("usimrank_sub_wakeups_total", "counter", "Subscriptions woken by admin mutations (clean-to-dirty transitions).")
+	pw.Uint("usimrank_sub_wakeups_total", nil, ss.Wakeups)
+	pw.Header("usimrank_sub_pushes_total", "counter", "Update events delivered to subscribers (snapshots excluded).")
+	pw.Uint("usimrank_sub_pushes_total", nil, ss.Pushes)
+	pw.Header("usimrank_sub_coalesced_total", "counter", "Subscription wake-ups folded into an already-pending push.")
+	pw.Uint("usimrank_sub_coalesced_total", nil, ss.Coalesced)
+	pw.Header("usimrank_sub_dropped_total", "counter", "Subscription streams ended by a failed push, or by a terminal error or gone event.")
+	pw.Uint("usimrank_sub_dropped_total", nil, ss.Dropped)
 }

@@ -10,17 +10,14 @@ import (
 	"fmt"
 	"hash/fnv"
 	"log"
-	"math"
 	"net/http"
 	"os"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"usimrank"
-	"usimrank/internal/obs"
 	"usimrank/internal/sub"
 )
 
@@ -146,15 +143,17 @@ type Server struct {
 	// never take it. TestAdminMutationsSerialized pins the invariant.
 	adminMu sync.Mutex
 
-	adm     *Admission
-	flights *FlightGroup
+	// plane runs every query (see pipeline.go); metrics is its registry,
+	// read by the stats and /metrics views.
+	plane   *Plane
 	metrics *MetricsRegistry
 	// subs tracks live /v1/subscribe streams; admin mutations wake the
 	// affected ones (see subscribe.go).
 	subs *sub.Registry
 
-	// baseCtx parents every flight's execution context, so Close
-	// cancels in-flight engine work.
+	// baseCtx parents every flight's execution context (through the
+	// plane) and every subscription stream, so Close cancels in-flight
+	// engine work.
 	baseCtx context.Context
 	cancel  context.CancelFunc
 
@@ -177,11 +176,11 @@ func New(g *usimrank.Graph, source string, cfg Config) (*Server, error) {
 	}
 	cfg = cfg.withDefaults(eng.Options().Parallelism)
 	ctx, cancel := context.WithCancel(context.Background())
+	metrics := NewMetricsRegistry()
 	s := &Server{
 		cfg:     cfg,
-		adm:     NewTieredAdmission(cfg.MaxInFlight, cfg.AdmissionReserve, cfg.AdmissionWait),
-		flights: NewFlightGroup(),
-		metrics: NewMetricsRegistry(),
+		plane:   NewPlane(ctx, "server", cfg, metrics),
+		metrics: metrics,
 		subs:    sub.NewRegistry(),
 		baseCtx: ctx,
 		cancel:  cancel,
@@ -189,10 +188,10 @@ func New(g *usimrank.Graph, source string, cfg Config) (*Server, error) {
 	}
 	s.cur.Store(newEngineHandle(eng, g, source, 1, cfg.Index))
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("POST /v1/score", s.handleScore)
-	s.mux.HandleFunc("POST /v1/source", s.handleSource)
-	s.mux.HandleFunc("POST /v1/topk", s.handleTopK)
-	s.mux.HandleFunc("POST /v1/batch", s.handleBatch)
+	s.mux.HandleFunc("POST /v1/score", func(w http.ResponseWriter, r *http.Request) { s.handleQuery(w, r, new(ScoreRequest)) })
+	s.mux.HandleFunc("POST /v1/source", func(w http.ResponseWriter, r *http.Request) { s.handleQuery(w, r, new(SourceRequest)) })
+	s.mux.HandleFunc("POST /v1/topk", func(w http.ResponseWriter, r *http.Request) { s.handleQuery(w, r, new(TopKRequest)) })
+	s.mux.HandleFunc("POST /v1/batch", func(w http.ResponseWriter, r *http.Request) { s.handleQuery(w, r, new(BatchRequest)) })
 	s.mux.HandleFunc("GET /v1/subscribe", s.handleSubscribe)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -233,200 +232,78 @@ func (s *Server) engine() *engineHandle {
 	}
 }
 
-// effectiveTimeout applies a request's timeout_ms within the server
-// bound.
-func (s *Server) effectiveTimeout(ms int) time.Duration {
-	d := time.Duration(ms) * time.Millisecond
-	if d <= 0 || d > s.cfg.QueryTimeout {
-		return s.cfg.QueryTimeout
-	}
-	return d
-}
+// queryRequest is a v1 query body: it validates itself into a Query.
+type queryRequest interface{ Query() (*Query, error) }
 
-// traceFor arms tracing for a request when any consumer exists: an
-// incoming Usimrank-Trace header (an upstream wants connected spans),
-// the debug flag (the client wants the profile inline), or a
-// configured slow-query threshold (the log may want the trace).
-// Otherwise it returns (nil, zero Span) and the request records
-// nothing — the allocation-free disabled path.
-func (s *Server) traceFor(r *http.Request, shape string, debug bool) (*obs.Trace, obs.Span) {
-	hdr := r.Header.Get(obs.TraceHeader)
-	if hdr == "" && !debug && s.cfg.SlowQuery <= 0 {
-		return nil, obs.Span{}
+// handleQuery serves one POST query of any shape: decode and validate
+// the body, pin the resident engine, check the operands against its
+// graph, and run the shared pipeline with the engine as backend.
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, req queryRequest) {
+	if !s.decodeBody(w, r, req) {
+		return
 	}
-	id, parent, _ := obs.ParseTraceHeader(hdr)
-	tr := obs.NewTrace(id, parent)
-	return tr, tr.Start(shape)
-}
-
-// execute runs one admitted, coalesced, deadline-bounded query and
-// writes the error response when it fails. The happy path returns
-// (value, coalesced, true) and leaves the response to the caller.
-//
-// h must be pinned by the caller (and stays the caller's to release):
-// execute re-pins it for the flight's own lifetime, so a hot-swap
-// drain cannot complete while the flight still computes on the engine.
-//
-// tr/root come from traceFor; both may be disabled. When this request
-// leads its flight, the engine_compute span rides the flight context
-// into the kernel, so a debug profile always shows where the leader's
-// time went; followers instead show a coalesce span with leader=0.
-//
-// cheap marks a degradable (adaptive eps-bearing) query eligible for
-// the admission reserve tier. A request that joins an existing flight
-// releases its admission slot immediately (see FlightGroup.Do's
-// onFollow): a follower does no engine work, and a burst of identical
-// queries must not hold the whole admission budget while idling on one
-// leader's result.
-func (s *Server) execute(w http.ResponseWriter, r *http.Request, shape, alg string, timeoutMs int, cheap bool, key string, h *engineHandle, tr *obs.Trace, root obs.Span, fn func(ctx context.Context) (any, error)) (any, bool, bool) {
+	q, err := req.Query()
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
+		return
+	}
+	h := s.engine()
+	defer h.release()
+	if err := q.checkGraph(h); err != nil {
+		WriteError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
+		return
+	}
 	// Stamp the generation this query is pinned to. The cluster
 	// coordinator reads it to reject answers from a node that missed
 	// admin mutations (a replica that was down through an update and
 	// came back serving the old graph).
 	w.Header().Set(GenerationHeader, strconv.FormatUint(h.gen, 10))
-	if tr != nil {
-		// Echo the trace id so callers can join logs without a debug
-		// body; the header never varies the body bytes.
-		w.Header().Set(obs.TraceHeader, tr.ID())
+	val, coalesced, prof, err := s.plane.Run(w, r, q, h.gen, s.engineBackend(q, h))
+	if err != nil {
+		return
 	}
-	timeout := s.effectiveTimeout(timeoutMs)
-	// The flight runs under the leader's deadline, so only requests
-	// with the same effective budget may share one: without the suffix
-	// a follower with 30s left would inherit a stranger's 1ms flight
-	// and 504 spuriously.
-	key = fmt.Sprintf("%s|t%d", key, timeout.Milliseconds())
-	waitCtx, cancelWait := context.WithTimeout(r.Context(), timeout)
-	defer cancelWait()
+	s.account(q, h, val, coalesced)
+	WriteJSON(w, http.StatusOK, q.response(val, coalesced, prof))
+}
 
-	asp := root.Start("admission_wait")
-	release := s.adm.AcquireTier(waitCtx, cheap)
-	if release == nil {
-		asp.Error(errors.New("admission rejected"))
-		asp.End()
-		s.metrics.AdmissionRejected.Add(1)
-		w.Header().Set("Retry-After", RetryAfterSeconds(s.adm.Wait()))
-		WriteError(w, http.StatusTooManyRequests, CodeOverloaded,
-			fmt.Sprintf("server saturated: %d queries in flight", s.cfg.MaxInFlight))
-		return nil, false, false
+// engineBackend answers q on h's engine: the backend of the node's
+// POST queries and of its subscription pushes.
+func (s *Server) engineBackend(q *Query, h *engineHandle) Backend {
+	return Backend{
+		Span:    "engine_compute",
+		Fail:    s.writeQueryError,
+		Compute: func(ctx context.Context) (any, error) { return q.compute(ctx, h) },
+		pin:     h,
 	}
-	asp.End()
-	s.metrics.InFlight.Add(1)
-	// The slot is given back exactly once, by whichever comes first:
-	// becoming a follower (below) or this frame unwinding.
-	var relOnce sync.Once
-	releaseSlot := func() {
-		relOnce.Do(func() {
-			s.metrics.InFlight.Add(-1)
-			release()
-		})
-	}
-	defer releaseSlot()
+}
 
-	start := time.Now()
-	csp := root.Start("coalesce")
-	val, coalesced, err := s.flights.Do(waitCtx, key, releaseSlot, func() func() (any, error) {
-		// Leader path, still in this request's frame: transfer a pin
-		// and a server-owned deadline into the flight so it survives
-		// this request abandoning the wait.
-		h.tryAcquire()
-		fctx, cancelFlight := context.WithTimeout(s.baseCtx, timeout)
-		eng := root.Start("engine_compute")
-		fctx = obs.ContextWithSpan(fctx, eng)
-		return func() (any, error) {
-			defer eng.End()
-			defer h.release()
-			defer cancelFlight()
-			return fn(fctx)
-		}
-	})
-	if csp.Enabled() {
-		var lead int64
+// account records the node's per-path counters for one answered query.
+// Followers shared the leader's work, so they add only to the indexed
+// query count: one probe per (candidate, step) pair and one N-walk
+// residual sample regardless of candidate count on the index path, and
+// the adaptive serving counters.
+func (s *Server) account(q *Query, h *engineHandle, val any, coalesced bool) {
+	if q.indexed {
+		s.indexQueries.Add(1)
 		if !coalesced {
-			lead = 1
+			cands := len(q.candidates)
+			if q.candidates == nil {
+				cands = h.graph.NumVertices()
+			}
+			s.indexRowsProbed.Add(uint64(cands) * uint64(h.eng.Options().Steps+1))
+			s.indexResidualWalks.Add(uint64(h.idx.Samples()))
 		}
-		csp.Add("leader", lead)
 	}
-	csp.End()
-	elapsed := time.Since(start)
-	// A cancellation caused by the client's own disconnect is not a
-	// server error: count it separately, keep the per-shape error
-	// counts clean, and skip the response write (nobody is reading).
-	// Cancellation with a live request context is the server shutting
-	// down — that one still reports 503 through writeQueryError.
-	if err != nil && errors.Is(err, context.Canceled) && r.Context().Err() != nil {
-		s.metrics.ClientGone.Add(1)
-		s.metrics.RecordQuery(shape, alg, elapsed, coalesced, nil)
-		root.Error(err)
-		s.logSlowQuery(shape, alg, tr, elapsed, coalesced, err)
-		return nil, coalesced, false
-	}
-	s.metrics.RecordQuery(shape, alg, elapsed, coalesced, err)
-	root.Error(err)
-	s.logSlowQuery(shape, alg, tr, elapsed, coalesced, err)
-	if err != nil {
-		s.writeQueryError(w, err)
-		return nil, coalesced, false
-	}
-	return val, coalesced, true
-}
-
-// RetryAfterSeconds derives the 429 Retry-After hint from the
-// admission grace: the request already waited one full grace period
-// without a slot freeing, so a client should back off at least that
-// long (floored at the header's 1-second resolution) before retrying.
-func RetryAfterSeconds(wait time.Duration) string {
-	secs := int((wait + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.Itoa(secs)
-}
-
-// slowQueryLog is the JSON shape of one -log-json slow-query line.
-type slowQueryLog struct {
-	Msg        string            `json:"msg"`
-	TraceID    string            `json:"trace_id"`
-	Shape      string            `json:"shape"`
-	Alg        string            `json:"alg"`
-	DurationMs float64           `json:"duration_ms"`
-	Coalesced  bool              `json:"coalesced"`
-	Error      string            `json:"error,omitempty"`
-	Spans      []obs.ProfileSpan `json:"spans"`
-}
-
-// logSlowQuery emits the structured slow-query line when the query met
-// the configured threshold. The trace is always armed when SlowQuery
-// is set (see traceFor), so the line can carry span timings.
-func (s *Server) logSlowQuery(shape, alg string, tr *obs.Trace, d time.Duration, coalesced bool, err error) {
-	LogSlowQuery(s.cfg.Logger, s.cfg.LogJSON, s.cfg.SlowQuery, shape, alg, tr, d, coalesced, err)
-}
-
-// LogSlowQuery writes one structured slow-query line — key=value text,
-// or single-line JSON when logJSON — when d meets the threshold and a
-// trace was recorded. Shared by the single node and the cluster
-// coordinator so both planes log the same shape.
-func LogSlowQuery(logger *log.Logger, logJSON bool, threshold time.Duration, shape, alg string, tr *obs.Trace, d time.Duration, coalesced bool, err error) {
-	if threshold <= 0 || d < threshold || tr == nil {
-		return
-	}
-	errMsg := ""
-	if err != nil {
-		errMsg = err.Error()
-	}
-	p := tr.Profile()
-	durMs := float64(d.Microseconds()) / 1000
-	if logJSON {
-		line, merr := json.Marshal(slowQueryLog{
-			Msg: "slow_query", TraceID: p.TraceID, Shape: shape, Alg: alg,
-			DurationMs: durMs, Coalesced: coalesced, Error: errMsg, Spans: p.Spans,
-		})
-		if merr == nil {
-			logger.Printf("%s", line)
+	if a, ok := val.(adaptiveAnswer); ok && !coalesced {
+		s.metrics.AdaptiveQueries.Add(1)
+		s.metrics.AdaptiveRounds.Add(uint64(a.res.Rounds))
+		if a.res.Partial {
+			s.metrics.PartialResults.Add(1)
 		}
-		return
+		if a.res.Converged && a.res.Walks > 0 {
+			s.metrics.AdaptiveEarlyStops.Add(1)
+		}
 	}
-	logger.Printf("slow_query trace=%s shape=%s alg=%s dur_ms=%.3f coalesced=%v err=%q spans: %s",
-		p.TraceID, shape, alg, durMs, coalesced, errMsg, p.SpanLine())
 }
 
 // writeQueryError maps an engine/context error to the JSON error
@@ -445,382 +322,11 @@ func (s *Server) writeQueryError(w http.ResponseWriter, err error) {
 	}
 }
 
-func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
-	var req ScoreRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	alg, err := usimrank.ParseAlgorithm(req.Alg)
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
-		return
-	}
-	if !checkAdaptive(w, req.Eps, req.Delta) {
-		return
-	}
-	h := s.engine()
-	defer h.release()
-	if !s.checkVertices(w, h, req.U, req.V) {
-		return
-	}
-	key := fmt.Sprintf("score|g%d|%s|%d|%d", h.gen, alg, req.U, req.V)
-	key = adaptiveKey(key, req.Eps, req.Delta)
-	key = debugKey(key, req.Debug)
-	adaptive := req.Eps > 0
-	ao := usimrank.AdaptiveOptions{Eps: req.Eps, Delta: req.Delta}
-	tr, root := s.traceFor(r, "score", req.Debug)
-	val, coalesced, ok := s.execute(w, r, "score", alg.String(), req.TimeoutMs, adaptive, key, h, tr, root, func(ctx context.Context) (any, error) {
-		if adaptive {
-			return h.eng.AdaptiveComputeCtx(ctx, alg, req.U, req.V, ao)
-		}
-		return h.eng.ComputeCtx(ctx, alg, req.U, req.V)
-	})
-	if !ok {
-		return
-	}
-	resp := ScoreResponse{
-		Alg: alg.String(), U: req.U, V: req.V, Coalesced: coalesced,
-	}
-	if adaptive {
-		res := val.(usimrank.AdaptiveResult)
-		resp.Score = res.Score
-		resp.Adaptive = s.noteAdaptive(res, req.Eps, req.Delta, coalesced)
-		resp.Partial = res.Partial
-	} else {
-		resp.Score = val.(float64)
-	}
-	if req.Debug {
-		root.End()
-		resp.Profile = tr.Profile()
-	}
-	WriteJSON(w, http.StatusOK, resp)
-}
-
-// debugKey forks a flight key for debug requests: a debug request must
-// lead its own flight (so its profile contains the engine spans) and a
-// non-debug follower must never be handed a response computed under a
-// debug leader. Two concurrent identical debug requests still coalesce
-// with each other; the follower's profile then shows a coalesce span
-// with leader=0 — accurate attribution, it really did no engine work.
-func debugKey(key string, debug bool) string {
-	if debug {
-		return key + "|dbg"
-	}
-	return key
-}
-
-// checkAdaptive validates a request's eps/delta accuracy target,
-// writing a 400 on the first violation. eps == 0 (with delta == 0)
-// selects the classic fixed-budget path.
-func checkAdaptive(w http.ResponseWriter, eps, delta float64) bool {
-	if eps < 0 {
-		WriteError(w, http.StatusBadRequest, CodeBadRequest,
-			fmt.Sprintf("eps = %g < 0", eps))
-		return false
-	}
-	if delta != 0 {
-		if eps == 0 {
-			WriteError(w, http.StatusBadRequest, CodeBadRequest,
-				`"delta" is only valid together with "eps"`)
-			return false
-		}
-		if delta < 0 || delta >= 1 {
-			WriteError(w, http.StatusBadRequest, CodeBadRequest,
-				fmt.Sprintf("delta = %g outside (0, 1)", delta))
-			return false
-		}
-	}
-	return true
-}
-
-// adaptiveKey appends the accuracy target to a flight key: an
-// eps-bearing query must never share a flight with a full-budget one
-// (different engine call, different response shape), nor with one
-// targeting a different (ε, δ). Exact bit patterns keep distinct float
-// spellings distinct.
-func adaptiveKey(key string, eps, delta float64) string {
-	if eps <= 0 {
-		return key
-	}
-	return fmt.Sprintf("%s|e%x|d%x", key, math.Float64bits(eps), math.Float64bits(delta))
-}
-
-// noteAdaptive converts an engine AdaptiveResult into the response's
-// adaptive block and, for flight leaders, records the adaptive serving
-// counters (followers shared the leader's sampling, so they add to
-// none of them).
-func (s *Server) noteAdaptive(res usimrank.AdaptiveResult, eps, delta float64, coalesced bool) *AdaptiveInfo {
-	if !coalesced {
-		s.metrics.AdaptiveQueries.Add(1)
-		s.metrics.AdaptiveRounds.Add(uint64(res.Rounds))
-		if res.Partial {
-			s.metrics.PartialResults.Add(1)
-		}
-		if res.Converged && res.Walks > 0 {
-			s.metrics.AdaptiveEarlyStops.Add(1)
-		}
-	}
-	if delta == 0 {
-		delta = usimrank.AdaptiveDefaultDelta
-	}
-	return &AdaptiveInfo{
-		Eps: eps, Delta: delta,
-		Radius: res.Radius, Walks: res.Walks, Rounds: res.Rounds,
-		Converged: res.Converged,
-	}
-}
-
 // AlgIndexed is the source-only algorithm name selecting the
 // reverse-walk index path (outside the engine's Algorithm enum: it
 // needs a resident index, so only /v1/source on an index-serving node
 // accepts it).
 const AlgIndexed = "indexed"
-
-func (s *Server) handleSource(w http.ResponseWriter, r *http.Request) {
-	var req SourceRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	indexed := strings.EqualFold(req.Alg, AlgIndexed)
-	var alg usimrank.Algorithm
-	algName := AlgIndexed
-	if !indexed {
-		var err error
-		if alg, err = usimrank.ParseAlgorithm(req.Alg); err != nil {
-			WriteError(w, http.StatusBadRequest, CodeBadRequest,
-				err.Error()+` (or "indexed" on an index-serving node)`)
-			return
-		}
-		algName = alg.String()
-	}
-	if !checkAdaptive(w, req.Eps, req.Delta) {
-		return
-	}
-	h := s.engine()
-	defer h.release()
-	if indexed && h.idx == nil {
-		WriteError(w, http.StatusBadRequest, CodeBadRequest,
-			"no reverse-walk index loaded for this generation; start usimd with -index, or reload with an index")
-		return
-	}
-	if !s.checkVertices(w, h, append([]int{req.U}, req.Candidates...)...) {
-		return
-	}
-	// nil candidates (full sweep) and an explicit empty list are
-	// different queries; keep their flight keys distinct.
-	candKey := "all"
-	if req.Candidates != nil {
-		candKey = DigestInts(req.Candidates)
-	}
-	key := fmt.Sprintf("source|g%d|%s|%d|%s", h.gen, algName, req.U, candKey)
-	key = adaptiveKey(key, req.Eps, req.Delta)
-	key = debugKey(key, req.Debug)
-	adaptive := req.Eps > 0
-	ao := usimrank.AdaptiveOptions{Eps: req.Eps, Delta: req.Delta}
-	tr, root := s.traceFor(r, "source", req.Debug)
-	val, coalesced, ok := s.execute(w, r, "source", algName, req.TimeoutMs, adaptive, key, h, tr, root, func(ctx context.Context) (any, error) {
-		switch {
-		case indexed && adaptive && req.Candidates == nil:
-			return h.eng.AdaptiveSingleSourceIndexedCtx(ctx, h.idx, req.U, ao)
-		case indexed && adaptive:
-			return h.eng.AdaptiveSingleSourceIndexedAgainstCtx(ctx, h.idx, req.U, req.Candidates, ao)
-		case indexed && req.Candidates == nil:
-			return h.eng.SingleSourceIndexedCtx(ctx, h.idx, req.U)
-		case indexed:
-			return h.eng.SingleSourceIndexedAgainstCtx(ctx, h.idx, req.U, req.Candidates)
-		case adaptive && req.Candidates == nil:
-			return h.eng.AdaptiveSingleSourceCtx(ctx, alg, req.U, ao)
-		case adaptive:
-			return h.eng.AdaptiveSingleSourceAgainstCtx(ctx, alg, req.U, req.Candidates, ao)
-		case req.Candidates == nil:
-			return h.eng.SingleSourceCtx(ctx, alg, req.U)
-		default:
-			return h.eng.SingleSourceAgainstCtx(ctx, alg, req.U, req.Candidates)
-		}
-	})
-	if !ok {
-		return
-	}
-	if indexed {
-		s.indexQueries.Add(1)
-		if !coalesced {
-			// One probe per (candidate, step) pair; the residual sample is
-			// one N-walk stream regardless of candidate count. Followers
-			// shared the leader's work, so they add to neither.
-			cands := len(req.Candidates)
-			if req.Candidates == nil {
-				cands = h.graph.NumVertices()
-			}
-			s.indexRowsProbed.Add(uint64(cands) * uint64(h.eng.Options().Steps+1))
-			s.indexResidualWalks.Add(uint64(h.idx.Samples()))
-		}
-	}
-	resp := SourceResponse{
-		Alg: algName, U: req.U, Candidates: req.Candidates, Coalesced: coalesced,
-	}
-	if adaptive {
-		res := val.(usimrank.AdaptiveResult)
-		resp.Scores = res.Scores
-		resp.Adaptive = s.noteAdaptive(res, req.Eps, req.Delta, coalesced)
-		resp.Partial = res.Partial
-	} else {
-		resp.Scores = val.([]float64)
-	}
-	if req.Debug {
-		root.End()
-		resp.Profile = tr.Profile()
-	}
-	WriteJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
-	var req TopKRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	alg, err := usimrank.ParseAlgorithm(req.Alg)
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
-		return
-	}
-	if req.K < 1 {
-		WriteError(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("k = %d < 1", req.K))
-		return
-	}
-	if req.U != nil && req.Sources != nil {
-		WriteError(w, http.StatusBadRequest, CodeBadRequest, `"sources" is only valid for pairs queries (omit "u")`)
-		return
-	}
-	if !checkAdaptive(w, req.Eps, req.Delta) {
-		return
-	}
-	h := s.engine()
-	defer h.release()
-	var key string
-	if req.U != nil {
-		if !s.checkVertices(w, h, *req.U) {
-			return
-		}
-		key = fmt.Sprintf("topk|g%d|%s|u%d|k%d", h.gen, alg, *req.U, req.K)
-	} else if req.Sources != nil {
-		if !s.checkVertices(w, h, req.Sources...) {
-			return
-		}
-		seen := make(map[int]bool, len(req.Sources))
-		for _, u := range req.Sources {
-			if seen[u] {
-				WriteError(w, http.StatusBadRequest, CodeBadRequest,
-					fmt.Sprintf("duplicate source %d in sources", u))
-				return
-			}
-			seen[u] = true
-		}
-		key = fmt.Sprintf("topk|g%d|%s|pairs|k%d|s%s", h.gen, alg, req.K, DigestInts(req.Sources))
-	} else {
-		key = fmt.Sprintf("topk|g%d|%s|pairs|k%d", h.gen, alg, req.K)
-	}
-	key = adaptiveKey(key, req.Eps, req.Delta)
-	key = debugKey(key, req.Debug)
-	adaptive := req.Eps > 0
-	ao := usimrank.AdaptiveOptions{Eps: req.Eps, Delta: req.Delta}
-	tr, root := s.traceFor(r, "topk", req.Debug)
-	val, coalesced, ok := s.execute(w, r, "topk", alg.String(), req.TimeoutMs, adaptive, key, h, tr, root, func(ctx context.Context) (any, error) {
-		switch {
-		case adaptive && req.U != nil:
-			ranked, res, err := usimrank.TopKSimilarAdaptiveCtx(ctx, h.eng, alg, *req.U, req.K, ao)
-			return adaptiveTopK{ranked, res}, err
-		case adaptive:
-			ranked, res, err := usimrank.TopKPairsAdaptiveCtx(ctx, h.eng, alg, req.K, req.Sources, ao)
-			return adaptiveTopK{ranked, res}, err
-		case req.U != nil:
-			return usimrank.TopKSimilarCtx(ctx, h.eng, alg, *req.U, req.K)
-		case req.Sources != nil:
-			return usimrank.TopKPairsAmongCtx(ctx, h.eng, alg, req.K, req.Sources)
-		default:
-			return usimrank.TopKPairsCtx(ctx, h.eng, alg, req.K)
-		}
-	})
-	if !ok {
-		return
-	}
-	resp := TopKResponse{
-		Alg: alg.String(), U: req.U, K: req.K, Coalesced: coalesced,
-	}
-	var results []usimrank.TopKResult
-	if adaptive {
-		at := val.(adaptiveTopK)
-		results = at.results
-		resp.Adaptive = s.noteAdaptive(at.res, req.Eps, req.Delta, coalesced)
-		resp.Partial = at.res.Partial
-	} else {
-		results = val.([]usimrank.TopKResult)
-	}
-	out := make([]PairScore, len(results))
-	for i, res := range results {
-		out[i] = PairScore{U: res.U, V: res.V, Score: res.Score}
-	}
-	resp.Results = out
-	if req.Debug {
-		root.End()
-		resp.Profile = tr.Profile()
-	}
-	WriteJSON(w, http.StatusOK, resp)
-}
-
-// adaptiveTopK bundles a ranked list with its sweep's accuracy report
-// through execute's any-typed flight value.
-type adaptiveTopK struct {
-	results []usimrank.TopKResult
-	res     usimrank.AdaptiveResult
-}
-
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req BatchRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	alg, err := usimrank.ParseAlgorithm(req.Alg)
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
-		return
-	}
-	if len(req.Pairs) == 0 {
-		WriteError(w, http.StatusBadRequest, CodeBadRequest, "empty pairs")
-		return
-	}
-	h := s.engine()
-	defer h.release()
-	// Out-of-range pairs surface as per-pair errors, not request
-	// errors: a batch is a bulk operation and one bad pair should not
-	// void the rest.
-	flat := make([]int, 0, 2*len(req.Pairs))
-	for _, p := range req.Pairs {
-		flat = append(flat, p[0], p[1])
-	}
-	key := fmt.Sprintf("batch|g%d|%s|%s", h.gen, alg, DigestInts(flat))
-	key = debugKey(key, req.Debug)
-	tr, root := s.traceFor(r, "batch", req.Debug)
-	val, coalesced, ok := s.execute(w, r, "batch", alg.String(), req.TimeoutMs, false, key, h, tr, root, func(ctx context.Context) (any, error) {
-		return usimrank.BatchCtx(ctx, h.eng, alg, req.Pairs, 0)
-	})
-	if !ok {
-		return
-	}
-	results := val.([]usimrank.PairResult)
-	out := make([]BatchPairResult, len(results))
-	for i, res := range results {
-		out[i] = BatchPairResult{U: res.U, V: res.V, Score: res.Value}
-		if res.Err != nil {
-			out[i].Error = res.Err.Error()
-		}
-	}
-	resp := BatchResponse{Alg: alg.String(), Results: out, Coalesced: coalesced}
-	if req.Debug {
-		root.End()
-		resp.Profile = tr.Profile()
-	}
-	WriteJSON(w, http.StatusOK, resp)
-}
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, s.Stats())
@@ -881,7 +387,7 @@ func (s *Server) Stats() StatsResponse {
 		Coalescing:    s.metrics.CoalescingStats(),
 		Queries:       s.metrics.QueryStats(),
 		Index:         idxStats,
-		Subscriptions: subscriptionStats(s.subs),
+		Subscriptions: SubscriptionStatsFrom(s.subs),
 	}
 }
 
@@ -1081,20 +587,6 @@ func DigestInts(xs []int) string {
 		h.Write(buf[:])
 	}
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// checkVertices validates vertex ids against the pinned graph, writing
-// a 400 on the first violation.
-func (s *Server) checkVertices(w http.ResponseWriter, h *engineHandle, vs ...int) bool {
-	n := h.graph.NumVertices()
-	for _, v := range vs {
-		if v < 0 || v >= n {
-			WriteError(w, http.StatusBadRequest, CodeBadRequest,
-				fmt.Sprintf("vertex %d out of range [0,%d)", v, n))
-			return false
-		}
-	}
-	return true
 }
 
 // MaxBodyBytes bounds request bodies (8 MiB ≈ a ~350k-pair batch):

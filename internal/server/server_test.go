@@ -259,10 +259,11 @@ func TestValidationErrors(t *testing.T) {
 func TestAdmissionControl(t *testing.T) {
 	s := newTestServer(t, Config{Engine: testOptions(), MaxInFlight: 1, AdmissionWait: -1})
 	// Occupy the single slot out-of-band.
-	if !s.adm.Acquire(t.Context()) {
+	release := s.plane.adm.AcquireTier(t.Context(), false)
+	if release == nil {
 		t.Fatal("could not occupy the only slot")
 	}
-	defer s.adm.Release()
+	defer release()
 	var errResp ErrorResponse
 	if code := call(t, s, "POST", "/v1/score", ScoreRequest{Alg: "srsp", U: 0, V: 1}, &errResp); code != 429 {
 		t.Fatalf("saturated server: status %d, want 429", code)

@@ -1,15 +1,13 @@
 package server
 
 import (
-	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
-	"usimrank"
 	"usimrank/internal/sub"
 )
 
@@ -101,23 +99,6 @@ func SubscriptionStatsFrom(r *sub.Registry) *SubscriptionStats {
 	}
 }
 
-func subscriptionStats(r *sub.Registry) *SubscriptionStats { return SubscriptionStatsFrom(r) }
-
-// subQuery is one subscription's parsed query shape: everything needed
-// to recompute its answer against any engine handle.
-type subQuery struct {
-	shape      string // "score" | "source" | "topk"
-	algName    string
-	alg        usimrank.Algorithm // undefined when indexed
-	indexed    bool
-	u, v, k    int
-	candidates []int
-}
-
-// watched is the vertex set registered in the inverted index: both
-// endpoints for a score shape, the source plus any explicit candidates
-// for a source shape, the source for a top-k shape. A subscription is
-// woken when an update's invalidation BFS reaches one of these.
 // watched is the vertex set whose touched-source membership forces a
 // recompute. The invalidation BFS reports per-SIDE sources: an answer
 // is bit-identical across an update only when every constituent
@@ -127,17 +108,13 @@ type subQuery struct {
 // vector evaluate a pair against EVERY vertex, so any touched v-side
 // row can move their answer even when u itself is unaffected — they
 // watch sub.AnyVertex and wake on every non-empty invalidation set.
-func (q *subQuery) watched() []int32 {
-	switch q.shape {
-	case "score":
-		if q.u == q.v {
-			return []int32{int32(q.u)}
-		}
+func (q *Query) watched() []int32 {
+	switch {
+	case q.Shape == "score" && q.u == q.v:
+		return []int32{int32(q.u)}
+	case q.Shape == "score":
 		return []int32{int32(q.u), int32(q.v)}
-	case "source":
-		if len(q.candidates) == 0 {
-			return []int32{sub.AnyVertex}
-		}
+	case q.Shape == "source" && len(q.candidates) > 0:
 		vs := []int32{int32(q.u)}
 		for _, c := range q.candidates {
 			if c != q.u {
@@ -145,148 +122,69 @@ func (q *subQuery) watched() []int32 {
 			}
 		}
 		return vs
-	default: // topk
+	default: // topk, unrestricted source
 		return []int32{sub.AnyVertex}
 	}
 }
 
-// vertexArgs is every vertex id the shape references, for range checks.
-func (q *subQuery) vertexArgs() []int {
-	switch q.shape {
-	case "score":
-		return []int{q.u, q.v}
-	case "source":
-		return append([]int{q.u}, q.candidates...)
-	default:
-		return []int{q.u}
-	}
-}
-
-// flightKey builds the same coalescing key the cold handler of this
-// shape would use (minus execute's timeout suffix), so a push shares
-// its flight with concurrent identical pushes and cold queries — one
-// computation per (shape, operand, generation).
-func (q *subQuery) flightKey(gen uint64) string {
-	switch q.shape {
-	case "score":
-		return fmt.Sprintf("score|g%d|%s|%d|%d", gen, q.algName, q.u, q.v)
-	case "source":
-		candKey := "all"
-		if q.candidates != nil {
-			candKey = DigestInts(q.candidates)
-		}
-		return fmt.Sprintf("source|g%d|%s|%d|%s", gen, q.algName, q.u, candKey)
-	default:
-		return fmt.Sprintf("topk|g%d|%s|u%d|k%d", gen, q.algName, q.u, q.k)
-	}
-}
-
-// run computes the shape's answer on h — the same engine calls the
-// cold handlers make.
-func (q *subQuery) run(ctx context.Context, h *engineHandle) (any, error) {
-	if q.indexed && h.idx == nil {
-		return nil, fmt.Errorf("no reverse-walk index loaded for generation %d", h.gen)
-	}
-	switch q.shape {
-	case "score":
-		return h.eng.ComputeCtx(ctx, q.alg, q.u, q.v)
-	case "source":
-		switch {
-		case q.indexed && q.candidates == nil:
-			return h.eng.SingleSourceIndexedCtx(ctx, h.idx, q.u)
-		case q.indexed:
-			return h.eng.SingleSourceIndexedAgainstCtx(ctx, h.idx, q.u, q.candidates)
-		case q.candidates == nil:
-			return h.eng.SingleSourceCtx(ctx, q.alg, q.u)
-		default:
-			return h.eng.SingleSourceAgainstCtx(ctx, q.alg, q.u, q.candidates)
-		}
-	default:
-		return usimrank.TopKSimilarCtx(ctx, h.eng, q.alg, q.u, q.k)
-	}
-}
-
-// response wraps a computed value in the shape's wire struct, exactly
-// as the cold handler builds it for an uncoalesced, non-debug request.
-func (q *subQuery) response(val any) any {
-	switch q.shape {
-	case "score":
-		return ScoreResponse{Alg: q.algName, U: q.u, V: q.v, Score: val.(float64)}
-	case "source":
-		return SourceResponse{Alg: q.algName, U: q.u, Candidates: q.candidates, Scores: val.([]float64)}
-	default:
-		results := val.([]usimrank.TopKResult)
-		out := make([]PairScore, len(results))
-		for i, res := range results {
-			out[i] = PairScore{U: res.U, V: res.V, Score: res.Score}
-		}
-		u := q.u
-		return TopKResponse{Alg: q.algName, U: &u, K: q.k, Results: out}
-	}
-}
-
-// parseSubQuery validates the request's query parameters into a
-// subQuery, writing the 400 itself on failure.
-func (s *Server) parseSubQuery(w http.ResponseWriter, r *http.Request) (*subQuery, bool) {
+// parseSubQuery reads the subscription's query parameters into the
+// shape's POST request and validates it with the same validator a cold
+// query runs, writing the 400 itself on failure.
+func parseSubQuery(w http.ResponseWriter, r *http.Request) (*Query, bool) {
 	qp := r.URL.Query()
-	q := &subQuery{shape: qp.Get("shape")}
-	switch q.shape {
+	shape, alg := qp.Get("shape"), qp.Get("alg")
+	switch shape {
 	case "score", "source", "topk":
 	default:
 		WriteError(w, http.StatusBadRequest, CodeBadRequest,
-			fmt.Sprintf("shape %q must be score, source or topk", q.shape))
+			fmt.Sprintf("shape %q must be score, source or topk", shape))
 		return nil, false
 	}
-	rawAlg := qp.Get("alg")
-	q.indexed = q.shape == "source" && strings.EqualFold(rawAlg, AlgIndexed)
-	if q.indexed {
-		q.algName = AlgIndexed
-	} else {
-		alg, err := usimrank.ParseAlgorithm(rawAlg)
-		if err != nil {
-			WriteError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
-			return nil, false
-		}
-		q.alg, q.algName = alg, alg.String()
-	}
-	var ok bool
-	if q.u, ok = intParam(w, qp.Get("u"), "u", true); !ok {
+	u, ok := intParam(w, qp.Get("u"), "u")
+	if !ok {
 		return nil, false
 	}
-	switch q.shape {
+	var req queryRequest
+	switch shape {
 	case "score":
-		if q.v, ok = intParam(w, qp.Get("v"), "v", true); !ok {
+		v, ok := intParam(w, qp.Get("v"), "v")
+		if !ok {
 			return nil, false
 		}
+		req = &ScoreRequest{Alg: alg, U: u, V: v}
 	case "topk":
-		if q.k, ok = intParam(w, qp.Get("k"), "k", true); !ok {
+		k, ok := intParam(w, qp.Get("k"), "k")
+		if !ok {
 			return nil, false
 		}
-		if q.k < 1 {
-			WriteError(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("k = %d < 1", q.k))
-			return nil, false
-		}
-	case "source":
+		req = &TopKRequest{Alg: alg, U: &u, K: k}
+	default:
+		var cands []int
 		if raw := qp.Get("candidates"); raw != "" {
 			for _, part := range strings.Split(raw, ",") {
-				c, ok := intParam(w, part, "candidates", true)
+				c, ok := intParam(w, part, "candidates")
 				if !ok {
 					return nil, false
 				}
-				q.candidates = append(q.candidates, c)
+				cands = append(cands, c)
 			}
 		}
+		req = &SourceRequest{Alg: alg, U: u, Candidates: cands}
+	}
+	q, err := req.Query()
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
+		return nil, false
 	}
 	return q, true
 }
 
-// intParam parses one integer query parameter, writing the 400 itself.
-func intParam(w http.ResponseWriter, raw, name string, required bool) (int, bool) {
+// intParam parses one required integer query parameter, writing the
+// 400 itself.
+func intParam(w http.ResponseWriter, raw, name string) (int, bool) {
 	if raw == "" {
-		if required {
-			WriteError(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("%q is required", name))
-		}
-		return 0, !required
+		WriteError(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("%q is required", name))
+		return 0, false
 	}
 	v, err := strconv.Atoi(raw)
 	if err != nil {
@@ -297,50 +195,25 @@ func intParam(w http.ResponseWriter, raw, name string, required bool) (int, bool
 }
 
 // pushBody computes the subscription's answer against h and encodes it
-// exactly as the cold handler would. The computation rides the shared
-// FlightGroup under the cold key, so concurrent identical pushes (and
-// cold queries) collapse into one engine call, and it takes a regular
-// admission slot, so a thundering herd of woken subscriptions
-// recomputes in bounded batches rather than all at once. The caller
-// keeps ownership of its pin on h; the flight takes its own.
+// exactly as the cold handler would. The push runs the same pipeline
+// as a cold query, under the same flight key, so concurrent identical
+// pushes (and cold queries) collapse into one engine call, and it takes
+// a regular admission slot, so a thundering herd of woken
+// subscriptions recomputes in bounded batches rather than all at once.
+// The caller keeps ownership of its pin on h; the flight takes its own.
 //
 // Pushes deliberately do not record into the per-shape query metrics:
 // they are server-initiated work, and counting them would skew the
 // client-facing latency and coalesce-rate numbers.
-func (s *Server) pushBody(q *subQuery, h *engineHandle) ([]byte, error) {
-	timeout := s.cfg.QueryTimeout
-	key := fmt.Sprintf("%s|t%d", q.flightKey(h.gen), timeout.Milliseconds())
-	waitCtx, cancelWait := context.WithTimeout(s.baseCtx, timeout)
-	defer cancelWait()
-
-	release := s.adm.AcquireTier(waitCtx, false)
-	if release == nil {
-		s.metrics.AdmissionRejected.Add(1)
+func (s *Server) pushBody(q *Query, h *engineHandle) ([]byte, error) {
+	val, _, _, err := s.plane.Run(nil, nil, q, h.gen, s.engineBackend(q, h))
+	if errors.Is(err, errRejected) {
 		return nil, fmt.Errorf("push rejected: server saturated (%d queries in flight)", s.cfg.MaxInFlight)
 	}
-	s.metrics.InFlight.Add(1)
-	var relOnce sync.Once
-	releaseSlot := func() {
-		relOnce.Do(func() {
-			s.metrics.InFlight.Add(-1)
-			release()
-		})
-	}
-	defer releaseSlot()
-
-	val, _, err := s.flights.Do(waitCtx, key, releaseSlot, func() func() (any, error) {
-		h.tryAcquire()
-		fctx, cancelFlight := context.WithTimeout(s.baseCtx, timeout)
-		return func() (any, error) {
-			defer h.release()
-			defer cancelFlight()
-			return q.run(fctx, h)
-		}
-	})
 	if err != nil {
 		return nil, err
 	}
-	return MarshalBody(q.response(val))
+	return MarshalBody(q.response(val, false, nil))
 }
 
 // writeTerminal emits a terminal event (shutdown/gone/error) carrying
@@ -363,13 +236,13 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 			"streaming unsupported by this connection")
 		return
 	}
-	q, ok := s.parseSubQuery(w, r)
+	q, ok := parseSubQuery(w, r)
 	if !ok {
 		return
 	}
 	staleness := time.Duration(0)
 	if raw := r.URL.Query().Get("staleness_ms"); raw != "" {
-		ms, ok := intParam(w, raw, "staleness_ms", true)
+		ms, ok := intParam(w, raw, "staleness_ms")
 		if !ok {
 			return
 		}
@@ -386,18 +259,13 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	// push, never for the stream's lifetime, so idle subscribers cannot
 	// wedge a hot-swap's drain.
 	h := s.engine()
-	if !s.checkVertices(w, h, q.vertexArgs()...) {
-		h.release()
-		return
-	}
-	if q.indexed && h.idx == nil {
-		h.release()
-		WriteError(w, http.StatusBadRequest, CodeBadRequest,
-			"no reverse-walk index loaded for this generation; start usimd with -index, or reload with an index")
-		return
-	}
+	err := q.checkGraph(h)
 	bootGen := h.gen
 	h.release()
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
+		return
+	}
 
 	su := s.subs.Subscribe(q.watched(), staleness)
 	if su == nil {
