@@ -11,7 +11,7 @@ test:
 	go test ./...
 
 race:
-	go test -race ./internal/core ./internal/parallel ./internal/topk ./internal/cache ./internal/server ./internal/cluster ./internal/obs ./internal/sub
+	go test -race ./internal/core ./internal/parallel ./internal/topk ./internal/cache ./internal/index ./internal/server ./internal/cluster ./internal/obs ./internal/sub
 
 check: build
 	go vet ./...

@@ -15,6 +15,7 @@ import (
 	"usimrank/internal/exp"
 	"usimrank/internal/gen"
 	"usimrank/internal/rng"
+	"usimrank/internal/ugraph"
 )
 
 func benchCfg() exp.Config {
@@ -479,4 +480,88 @@ func BenchmarkEngineRebuild(b *testing.B) {
 		}
 		fresh.WarmFilters()
 	}
+}
+
+// benchIndexEngine builds the index-plane bench state: the 3k-vertex
+// coauthorship graph of the index-patch load workload under the serving
+// defaults at N = 1000.
+func benchIndexEngine(b *testing.B) (*usimrank.Graph, *usimrank.Engine) {
+	b.Helper()
+	g := gen.CoAuthorship(3000, 2, rng.New(5))
+	e, err := usimrank.New(g, usimrank.Options{N: 1000, Seed: 1, L: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return g, e
+}
+
+// reportWalkSteps reports the occupancy kernel's work unit: ns per
+// nominal walk-step, N walks of Steps steps for each of the vertices
+// whose rows one iteration computes.
+func reportWalkSteps(b *testing.B, e *usimrank.Engine, vertices int) {
+	opt := e.Options()
+	steps := float64(b.N) * float64(vertices) * float64(opt.N) * float64(opt.Steps)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/steps, "ns/walk-step")
+}
+
+// BenchmarkIndexBuild measures the offline index pass (index.Build):
+// every vertex's v-side occupancy rows on the engine's worker pool. Its
+// per-vertex kernel is the one index patches and indexed residuals run.
+func BenchmarkIndexBuild(b *testing.B) {
+	g, e := benchIndexEngine(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := usimrank.BuildIndex(e); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportWalkSteps(b, e, g.NumVertices())
+}
+
+// BenchmarkIndexPatch measures index.Patch after a single-arc reweight:
+// the invalidation BFS plus the occupancy rows of every vertex it
+// reaches, which is nearly all of an index-serving node's update
+// latency. Like the index-patch load workload it reweights an arc whose
+// patch recomputes about 30% of the vertices (the first such arc in
+// vertex order). The base index and the successor engine are built
+// outside the timed region; patched_frac is the share recomputed.
+func BenchmarkIndexPatch(b *testing.B) {
+	g, e := benchIndexEngine(b)
+	x, err := usimrank.BuildIndex(e)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var ups []usimrank.ArcUpdate
+	for u := 0; u < g.NumVertices() && ups == nil; u++ {
+		for _, v := range g.Out(u) {
+			reached := 0
+			for _, d := range ugraph.BoundedDistances([]int32{v}, e.Options().Steps-1, g) {
+				if d >= 0 {
+					reached++
+				}
+			}
+			if share := float64(reached) / float64(g.NumVertices()); share >= 0.25 && share <= 0.35 {
+				ups = []usimrank.ArcUpdate{{Op: usimrank.OpReweight, U: u, V: int(v), P: 0.5}}
+				break
+			}
+		}
+	}
+	if ups == nil {
+		b.Fatal("no arc with a 25-35% patch share")
+	}
+	succ, _, err := e.ApplyUpdates(ups)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	patched := 0
+	for i := 0; i < b.N; i++ {
+		if _, patched, err = usimrank.PatchIndex(x, succ, g, ups); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportWalkSteps(b, e, patched)
+	b.ReportMetric(float64(patched)/float64(g.NumVertices()), "patched_frac")
 }

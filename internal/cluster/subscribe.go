@@ -189,12 +189,12 @@ func (co *Coordinator) relayFrom(w http.ResponseWriter, fl http.Flusher, r *http
 		if fr.Forward(w) != nil {
 			return true, true // client gone
 		}
+		if fr.Name() == server.EventUpdate {
+			co.subs.NotePush() // before the flush, as on a node
+		}
 		fl.Flush()
 		if id := fr.ID(); id > 0 {
 			rs.lastID = id
-		}
-		if fr.Name() == server.EventUpdate {
-			co.subs.NotePush()
 		}
 	}
 }

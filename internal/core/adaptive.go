@@ -306,7 +306,7 @@ func (e *Engine) adaptiveSweep(ctx context.Context, p *parallel.Pool, u int, pre
 		s.r.Reseed(e.sideSeed(u, saltWalkU))
 		s.cu = parallel.AppendChunks(s.cu[:0], t, parallel.DefaultChunkSize, &s.r)
 		nch := len(s.cu)
-		s.uoff = growInt32(s.uoff, nch+1)
+		s.uoff = grow(s.uoff, nch+1)
 		gridLen := 0
 		for ci, c := range s.cu {
 			s.uoff[ci] = int32(gridLen)
@@ -415,11 +415,11 @@ func (e *Engine) sampledCandidate(candidates []int, ap adaptivePlan) adaptiveCan
 		for ci := lo; ci < hi; ci++ {
 			c := w.cv[ci]
 			W := c.Len()
-			w.posV = growInt32(w.posV, stride*W)
+			w.posV = grow(w.posV, stride*W)
 			w.r.Reseed(c.Seed)
 			plan.Sample(v, n, W, &w.r, &w.arena, w.posV)
 			arcs += w.arena.Instantiated()
-			w.xbuf = growFloat64(w.xbuf, W)
+			w.xbuf = grow(w.xbuf, W)
 			cs, cq := mc.AccumulateWeighted(s.posU[s.uoff[ci]:s.uoff[ci+1]], w.posV, n, W, ap.coef, w.xbuf)
 			rs += cs
 			rq += cq
@@ -601,7 +601,7 @@ func (e *Engine) adaptiveIndexed(ctx context.Context, p *parallel.Pool, x Source
 		for ci := lo; ci < hi; ci++ {
 			W := s.cu[ci].Len()
 			grid := s.posU[s.uoff[ci]:s.uoff[ci+1]]
-			w.xbuf = growFloat64(w.xbuf, W)
+			w.xbuf = grow(w.xbuf, W)
 			for ii := range w.xbuf[:W] {
 				w.xbuf[ii] = 0
 			}

@@ -38,7 +38,8 @@ type KernelStats struct {
 	// ArenaHighWaterBytes is the largest single v2 arena footprint
 	// observed so far.
 	ArenaHighWaterBytes uint64
-	// ScratchGets and ScratchMisses describe the v2 scratch buffer pool:
+	// ScratchGets and ScratchMisses describe the v2 scratch buffer pool,
+	// which the occupancy kernel (index rows, indexed residuals) shares:
 	// a miss built a fresh buffer, so a steady state should show the
 	// miss count plateau while gets keep climbing.
 	ScratchGets   uint64

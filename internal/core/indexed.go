@@ -36,12 +36,12 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
 	"usimrank/internal/matrix"
 	"usimrank/internal/mc"
 	"usimrank/internal/obs"
 	"usimrank/internal/parallel"
-	"usimrank/internal/rng"
 )
 
 // SourceIndex is a read-only per-vertex occupancy index as the indexed
@@ -93,49 +93,119 @@ func (e *Engine) CheckIndex(x SourceIndex) error {
 }
 
 // occupancyWith folds one vertex-side's walk stream into per-step
-// occupancy vectors occ[k], k = 0..Steps. The chunks fan out over p;
-// the integer per-chunk counts are merged in chunk order and divided by
-// N once, so the result is bit-identical for every Parallelism value —
-// and identical whether computed at build time (v-side) or query time
-// (u-side residual).
+// occupancy vectors occ[k], k = 0..Steps: the rows index.Build stores,
+// index.Patch recomputes, and the indexed kernel samples as the
+// source's residual. The chunks fan out over p and each is drawn by
+// mc.SampleGrid — Sample's walks, RNG call for RNG call, written into a
+// position grid without allocating. The fold then walks the steps; per
+// step it counts each chunk's positions as integers and adds
+// float64(count)·(1/N) per vertex into a dense accumulator, chunk by
+// chunk in chunk order.
+//
+// Bit-identity: that is exactly the arithmetic of the reference map
+// fold over mc.Sample that occupancy_test.go keeps (per-chunk integer
+// counts, then total[at] += float64(c)·invN over the chunks in order,
+// from zero), so the rows are bit-identical to it. Summing the integer
+// counts across chunks first would round differently. The result is
+// the same for every Parallelism value, and identical whether computed
+// at build time (v-side) or query time (u-side residual).
+//
+// Cost: all scratch — arena, grids, dense counters — comes from the
+// engine's pooled v2scratch, so a warmed call allocates only the rows
+// it returns (2 per non-empty step plus the row slice). Time is the
+// walks' RNG work plus O(N·Steps) for the fold and one bitset scan up to
+// the highest occupied vertex per step; the dense buffers cost 12 bytes
+// per graph vertex in each scratch that has run the fold.
 func (e *Engine) occupancyWith(p *parallel.Pool, v int, salt uint64) []matrix.Vec {
-	chunks := e.walkChunks(v, salt)
-	steps := e.opt.Steps
-	counts := make([][]map[int32]int, len(chunks))
-	p.For(len(chunks), func(ci int) {
-		w := mc.Sample(e.rev, v, steps, chunks[ci].Len(), rng.New(chunks[ci].Seed))
-		e.kc.walks.Add(uint64(chunks[ci].Len()))
-		per := make([]map[int32]int, steps+1)
-		for k := range per {
-			per[k] = make(map[int32]int)
+	s := e.v2pool.Get()
+	defer e.v2pool.Put(s)
+	s.r.Reseed(e.sideSeed(v, salt))
+	s.cu = parallel.AppendChunks(s.cu[:0], e.opt.N, parallel.DefaultChunkSize, &s.r)
+	nch := len(s.cu)
+	s.layoutGrids(e.opt.Steps + 1)
+	s.sampled = grow(s.sampled, nch)
+	clear(s.sampled)
+	if p.Workers() <= 1 || nch == 1 {
+		for ci := 0; ci < nch && p.Err() == nil; ci++ {
+			e.occupancyChunk(s, s, v, ci)
 		}
-		for _, walk := range w.Pos {
-			for k, at := range walk {
-				per[k][at]++
-			}
-		}
-		counts[ci] = per
-	})
-	total := make([]map[int32]float64, steps+1)
-	for k := range total {
-		total[k] = make(map[int32]float64)
+	} else {
+		p.For(nch, func(ci int) {
+			w := e.v2pool.Get()
+			defer e.v2pool.Put(w)
+			e.occupancyChunk(s, w, v, ci)
+		})
 	}
+	return e.foldOccupancy(s)
+}
+
+// occupancyChunk samples chunk ci of s's walk stream into its block of
+// the shared grid s.posU, using w's arena (w == s on the serial path).
+func (e *Engine) occupancyChunk(s, w *v2scratch, v, ci int) {
+	c := s.cu[ci]
+	w.r.Reseed(c.Seed)
+	mc.SampleGrid(e.rev, v, e.opt.Steps, c.Len(), &w.r, &w.arena, s.posU[s.uoff[ci]:s.uoff[ci+1]])
+	e.kc.walks.Add(uint64(c.Len()))
+	s.sampled[ci] = true
+}
+
+// foldOccupancy turns the sampled chunk grids of s into the occupancy
+// rows, each sorted by vertex. Chunks a cancelled pool never ran are
+// skipped; the caller checks ctx.Err() and discards the result.
+func (e *Engine) foldOccupancy(s *v2scratch) []matrix.Vec {
+	n := e.g.NumVertices()
+	s.cnt = grow(s.cnt, n)
+	s.acc = grow(s.acc, n)
+	s.hit = grow(s.hit, (n+63)/64)
 	invN := 1 / float64(e.opt.N)
-	for _, per := range counts {
-		if per == nil {
-			continue // cancelled pool view; caller checks ctx.Err()
-		}
-		for k, m := range per {
-			for at, c := range m {
-				total[k][at] += float64(c) * invN
+	occ := make([]matrix.Vec, e.opt.Steps+1)
+	for k := range occ {
+		entries := 0
+		for ci, c := range s.cu {
+			if !s.sampled[ci] {
+				continue
+			}
+			W := c.Len()
+			row := s.posU[int(s.uoff[ci])+k*W:][:W]
+			for _, at := range row {
+				if at >= 0 {
+					s.cnt[at]++
+				}
+			}
+			for _, at := range row {
+				if at < 0 || s.cnt[at] == 0 {
+					continue // dead walk, or a vertex this chunk already added
+				}
+				if bit := uint64(1) << (at & 63); s.hit[at>>6]&bit == 0 {
+					s.hit[at>>6] |= bit
+					entries++
+				}
+				s.acc[at] += float64(s.cnt[at]) * invN
+				s.cnt[at] = 0
 			}
 		}
-	}
-	occ := make([]matrix.Vec, steps+1)
-	for k := range occ {
-		occ[k] = matrix.FromMap(total[k])
+		occ[k] = s.takeRow(entries)
 	}
 	return occ
+}
+
+// takeRow moves the step's entries out of the dense accumulator into a
+// freshly allocated sorted row, clearing acc and hit behind it. The
+// bitset scan stops at the last occupied word.
+func (s *v2scratch) takeRow(entries int) matrix.Vec {
+	row := matrix.Vec{Idx: make([]int32, entries), Val: make([]float64, entries)}
+	j := 0
+	for wi := 0; j < entries; wi++ {
+		word := s.hit[wi]
+		s.hit[wi] = 0
+		for ; word != 0; word &= word - 1 {
+			at := int32(wi<<6 | bits.TrailingZeros64(word))
+			row.Idx[j], row.Val[j] = at, s.acc[at]
+			s.acc[at] = 0
+			j++
+		}
+	}
+	return row
 }
 
 // VSideOccupancy computes the v-side occupancy rows of one vertex —

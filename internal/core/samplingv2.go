@@ -40,6 +40,14 @@ type v2scratch struct {
 	sums   []float64 // per-chunk Σ X_i of the weighted estimator
 	sumsqs []float64 // per-chunk Σ X_i², parallel to sums
 	xbuf   []float64 // per-walk score scratch of one chunk
+
+	// Occupancy fold state; see indexed.go. The dense per-vertex
+	// buffers are all-zero between uses: the fold clears every entry
+	// it sets.
+	sampled []bool    // per chunk: its grid was sampled (a cancelled pool skips some)
+	cnt     []int32   // per-vertex walk count of one chunk's step row
+	acc     []float64 // per-vertex occupancy of one step, summed in chunk order
+	hit     []uint64  // bitset of the vertices acc holds this step
 }
 
 // newV2Pool sizes the scratch pool for opt: every worker plus a few
@@ -93,7 +101,7 @@ func (e *Engine) samplingV2With(p *parallel.Pool, u, v int) (float64, error) {
 	nch := len(s.cu)
 	// One private counts slot per chunk: no atomics, merge in chunk
 	// order below.
-	s.counts = growInt64(s.counts, nch*stride)
+	s.counts = grow(s.counts, nch*stride)
 	clearInt64(s.counts)
 	if p.Workers() <= 1 || nch == 1 {
 		for ci := 0; ci < nch && p.Err() == nil; ci++ {
@@ -106,7 +114,7 @@ func (e *Engine) samplingV2With(p *parallel.Pool, u, v int) (float64, error) {
 			e.v2PairChunk(plan, s, w, u, v, ci)
 		})
 	}
-	s.m = growFloat64(s.m, stride)
+	s.m = grow(s.m, stride)
 	for k := 0; k < stride; k++ {
 		var c int64
 		for ci := 0; ci < nch; ci++ {
@@ -126,8 +134,8 @@ func (e *Engine) v2PairChunk(plan *mc.Plan, s, w *v2scratch, u, v, ci int) {
 	stride := n + 1
 	cu, cv := s.cu[ci], s.cv[ci]
 	W := cu.Len() // == cv.Len(): both sides split the same N identically
-	w.posU = growInt32(w.posU, stride*W)
-	w.posV = growInt32(w.posV, stride*W)
+	w.posU = grow(w.posU, stride*W)
+	w.posV = grow(w.posV, stride*W)
 	w.r.Reseed(cu.Seed)
 	plan.Sample(u, n, W, &w.r, &w.arena, w.posU)
 	arcs := w.arena.Instantiated()
@@ -153,14 +161,7 @@ func (e *Engine) samplingV2Kernel(p *parallel.Pool, u int, candidates []int, out
 	s.r.Reseed(e.sideSeed(u, saltWalkU))
 	s.cu = parallel.AppendChunks(s.cu[:0], e.opt.N, parallel.DefaultChunkSize, &s.r)
 	nch := len(s.cu)
-	s.uoff = growInt32(s.uoff, nch+1)
-	total := 0
-	for ci, c := range s.cu {
-		s.uoff[ci] = int32(total)
-		total += stride * c.Len()
-	}
-	s.uoff[nch] = int32(total)
-	s.posU = growInt32(s.posU, total)
+	s.layoutGrids(stride)
 	if p.Workers() <= 1 {
 		for ci := 0; ci < nch && p.Err() == nil; ci++ {
 			e.v2SourceChunk(plan, s, s, u, ci)
@@ -186,6 +187,19 @@ func (e *Engine) samplingV2Kernel(p *parallel.Pool, u int, candidates []int, out
 	return nil
 }
 
+// layoutGrids sizes s.posU to hold one stride×W position grid per chunk
+// of s.cu, back to back: chunk ci's grid is s.posU[s.uoff[ci]:s.uoff[ci+1]].
+func (s *v2scratch) layoutGrids(stride int) {
+	s.uoff = grow(s.uoff, len(s.cu)+1)
+	total := 0
+	for ci, c := range s.cu {
+		s.uoff[ci] = int32(total)
+		total += stride * c.Len()
+	}
+	s.uoff[len(s.cu)] = int32(total)
+	s.posU = grow(s.posU, total)
+}
+
 // v2SourceChunk samples the source's chunk ci into its disjoint block
 // of the shared u-side grid.
 func (e *Engine) v2SourceChunk(plan *mc.Plan, s, w *v2scratch, u, ci int) {
@@ -207,12 +221,12 @@ func (e *Engine) v2Candidate(plan *mc.Plan, s, w *v2scratch, v int) float64 {
 	stride := n + 1
 	w.r.Reseed(e.sideSeed(v, saltWalkV))
 	w.cv = parallel.AppendChunks(w.cv[:0], e.opt.N, parallel.DefaultChunkSize, &w.r)
-	w.counts = growInt64(w.counts, stride)
+	w.counts = grow(w.counts, stride)
 	clearInt64(w.counts)
 	arcs := 0
 	for ci, c := range w.cv {
 		W := c.Len()
-		w.posV = growInt32(w.posV, stride*W)
+		w.posV = grow(w.posV, stride*W)
 		w.r.Reseed(c.Seed)
 		plan.Sample(v, n, W, &w.r, &w.arena, w.posV)
 		arcs += w.arena.Instantiated()
@@ -221,7 +235,7 @@ func (e *Engine) v2Candidate(plan *mc.Plan, s, w *v2scratch, v int) float64 {
 	e.kc.walks.Add(uint64(e.opt.N))
 	e.kc.arcs.Add(uint64(arcs))
 	e.kc.noteArena(w.arena.FootprintBytes())
-	w.m = growFloat64(w.m, stride)
+	w.m = grow(w.m, stride)
 	for k := 0; k < stride; k++ {
 		w.m[k] = float64(w.counts[k]) / float64(e.opt.N)
 	}
@@ -230,14 +244,14 @@ func (e *Engine) v2Candidate(plan *mc.Plan, s, w *v2scratch, v int) float64 {
 
 // High-water buffer helpers: reuse capacity, reallocate only on growth.
 
-func growInt32(s []int32, n int) []int32 {
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int32, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
 
-// growInt32Keep grows like growInt32 but preserves the existing prefix
+// growInt32Keep grows like grow but preserves the existing prefix
 // — the adaptive round loop extends the shared source grid in place
 // round over round, so earlier rounds' walks must survive a realloc.
 func growInt32Keep(s []int32, n int) []int32 {
@@ -247,20 +261,6 @@ func growInt32Keep(s []int32, n int) []int32 {
 	out := make([]int32, n, max(n, 2*cap(s)))
 	copy(out, s)
 	return out
-}
-
-func growInt64(s []int64, n int) []int64 {
-	if cap(s) < n {
-		return make([]int64, n)
-	}
-	return s[:n]
-}
-
-func growFloat64(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
 }
 
 func clearInt64(s []int64) {

@@ -18,6 +18,27 @@
 // one task per vertex, so a build is deterministic and bit-identical
 // for every Parallelism setting.
 //
+// # Cost of a row
+//
+// Build, Patch and the residual sample of an indexed query all run one
+// kernel per vertex: N Sampling walks (Fig. 4) of Steps steps, folded
+// into Steps+1 sparse rows. Its cost is the walks' random draws — the
+// first time a walk steps out of a vertex it flips every out-arc of
+// that vertex, one draw per uncertain arc, then one draw to pick the
+// next vertex — plus an O(N·Steps) integer fold. The walks run
+// through mc.SampleGrid with pooled scratch, so a vertex allocates only
+// its returned rows (two slices per non-empty step). BenchmarkIndexBuild
+// and BenchmarkIndexPatch report this cost per nominal walk-step
+// (N·Steps per computed vertex).
+//
+// The rows are bit-identical to those of the reference kernel the core
+// tests keep — mc.Sample's walks, counted per chunk into maps and
+// merged as total += float64(count)·(1/N) over the chunks in order —
+// because mc.SampleGrid makes mc.Sample's RNG calls in the same order,
+// so it draws the same walks, and the fold performs the same float
+// operations in the same order. Summing the integer counts across
+// chunks first would round differently.
+//
 // At query time the engine samples only the source's u-side walks and
 // evaluates m̂(k)(u, v) = ⟨occ_u[k], occ_v[k]⟩ per candidate — see
 // core.SingleSourceIndexed for the estimator's accuracy contract
@@ -57,4 +78,15 @@
 // successor engine and shares every other row with the predecessor;
 // because walk streams depend only on (seed, vertex, side), the result
 // is bit-identical to a fresh Build on the successor.
+//
+// # Lineages share one mapping
+//
+// A lineage is one Load (or Build) and the chain of Patch results
+// derived from it. The untouched rows of a patched index view the same
+// memory as its predecessor's, so every index of a loaded lineage views
+// the one file mapping Load made, and holds that mapping — not its
+// predecessor, whose rows table it would otherwise keep reachable for
+// as long as the lineage lives. Closing any index of the lineage
+// unmaps the rows of all of them: close once, after the last query
+// probing any of them has finished.
 package index

@@ -12,16 +12,20 @@ import (
 // Index is a loaded (or freshly built) reverse-walk index for one graph
 // generation. It implements core.SourceIndex; rows are immutable and
 // safe for concurrent probes. An Index loaded from disk views the
-// file's memory mapping — Close it only after every query using it has
-// finished (a serving plane should hold it for the engine handle's
-// lifetime).
+// file's memory mapping, and so does every index patched from it: a
+// lineage (one Load or Build and the chain of Patch results after it)
+// shares one mapping. Close it only after every query probing any index
+// of the lineage has finished (a serving plane should hold it for the
+// lifetime of the last engine handle serving the lineage).
 type Index struct {
 	meta diskstore.IndexMeta
 	rows []matrix.Vec // row-major: occ_v[k] at v·(Depth+1)+k
 
-	// backing keeps whatever the rows view alive: the mmap of a loaded
-	// index, or — for a patched index, whose untouched rows alias the
-	// predecessor's — the predecessor itself.
+	// backing is the lineage's root mapping — the mmap of the index
+	// Load returned — or nil for a lineage that started with Build.
+	// Patched rows are fresh heap slices and untouched rows view either
+	// that mapping or the heap, so a patched index needs its
+	// predecessor's backing, never the predecessor itself.
 	backing io.Closer
 }
 
@@ -48,9 +52,10 @@ func (x *Index) Row(v, k int) matrix.Vec {
 	return x.rows[v*(x.meta.Depth+1)+k]
 }
 
-// Close releases the index's backing (the memory mapping of a loaded
-// index, recursively for patched lineages). The Index must not be
-// probed afterwards.
+// Close releases the memory mapping the index's lineage shares (a
+// no-op for a lineage that started with Build). Closing any index of a
+// loaded lineage unmaps the rows of all of them, so no index of the
+// lineage may be probed afterwards; closing more than one is harmless.
 func (x *Index) Close() error {
 	if x.backing == nil {
 		return nil

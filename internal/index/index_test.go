@@ -3,7 +3,9 @@ package index
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"weak"
 
 	"usimrank/internal/core"
 	"usimrank/internal/gen"
@@ -219,5 +221,64 @@ func TestLoadRejectsCorruptFile(t *testing.T) {
 	}
 	if _, err := Load(bad); err == nil {
 		t.Fatal("corrupt file loaded")
+	}
+}
+
+// TestPatchDropsPredecessor: a patched index must not keep the index it
+// was patched from reachable — a serving node patches once per update,
+// so any back link would grow the heap by one full rows table per
+// update. It shares only the lineage's mapping, so a patch of a loaded
+// index still serves bit-identical rows after the predecessor is
+// collected, and Close releases the shared mapping once.
+func TestPatchDropsPredecessor(t *testing.T) {
+	g := testGraph()
+	e := newEngine(t, g, core.Options{N: 50, Seed: 5})
+	built, err := Build(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "g.usix")
+	if err := built.Write(path); err != nil {
+		t.Fatal(err)
+	}
+	ups := []ugraph.ArcUpdate{{Op: ugraph.OpReweight, U: 3, V: int(g.Out(3)[0]), P: 0.41}}
+	succ, _, err := e.ApplyUpdates(ups)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := Build(succ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, from := range []string{"built", "loaded"} {
+		// patchOnce returns only a weak handle on the predecessor, so
+		// nothing in this frame keeps it alive.
+		patchOnce := func() (*Index, weak.Pointer[Index]) {
+			x := fromParts(built.meta, append([]matrix.Vec(nil), built.rows...))
+			if from == "loaded" {
+				var err error
+				if x, err = Load(path); err != nil {
+					t.Fatal(err)
+				}
+			}
+			patched, _, err := Patch(x, succ, g, ups)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return patched, weak.Make(x)
+		}
+		patched, pred := patchOnce()
+		runtime.GC()
+		runtime.GC()
+		if pred.Value() != nil {
+			t.Fatalf("%s: patched index keeps its predecessor reachable", from)
+		}
+		sameIndex(t, patched, fresh)
+		if err := patched.Close(); err != nil {
+			t.Fatalf("%s: close: %v", from, err)
+		}
+		if err := patched.Close(); err != nil {
+			t.Fatalf("%s: second close: %v", from, err)
+		}
 	}
 }

@@ -14,9 +14,10 @@ import (
 // returned, oldG the predecessor's graph, and updates the batch that
 // produced it. Only vertices within the walk horizon of a touched arc
 // head are recomputed (see the package comment for why that set is
-// exact); every other row is shared with x, so the patched index keeps
-// x's backing alive until its own Close. Returns the new index and the
-// number of vertices whose rows were recomputed.
+// exact); every other row is shared with x, so the patched index shares
+// x's backing (the lineage's mapping, see Index) but does not keep x
+// itself reachable. Returns the new index and the number of vertices
+// whose rows were recomputed.
 //
 // The result is bit-identical to Build(succ) — the fresh-rebuild
 // equivalence the index-lifecycle tests pin — at the cost of a bounded
@@ -53,7 +54,7 @@ func Patch(x *Index, succ *core.Engine, oldG *ugraph.Graph, updates []ugraph.Arc
 	depth := x.meta.Depth
 	meta := x.meta
 	meta.Generation = succ.Generation()
-	out := &Index{meta: meta, rows: x.rows, backing: x}
+	out := &Index{meta: meta, rows: x.rows, backing: x.backing}
 	if len(heads) == 0 {
 		return out, 0, nil // empty net batch: every row carries over
 	}

@@ -91,10 +91,11 @@ func BuildPlan(g *ugraph.Graph) *Plan {
 // NumVertices returns the vertex count of the planned graph.
 func (p *Plan) NumVertices() int { return len(p.certEnd) }
 
-// Arena is the reusable scratch of one v2 sampling worker. Buffers grow
-// to a high-water mark on first use and are reused afterwards; a warmed
-// arena makes Plan.Sample allocation-free. An Arena is single-goroutine
-// state — pool one per worker.
+// Arena is the reusable scratch of one sampling worker, for Plan.Sample
+// and SampleGrid alike. Buffers grow to a high-water mark on first use
+// and are reused afterwards; a warmed arena makes both samplers
+// allocation-free. An Arena is single-goroutine state — pool one per
+// worker.
 type Arena struct {
 	cur   []int32  // alive frontier: current vertex per alive walk
 	wi    []int32  // alive frontier: original walk index, parallel to cur

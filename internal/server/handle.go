@@ -30,7 +30,16 @@ type engineHandle struct {
 	// rides the handle's lifetime: a hot-swap that patches or replaces
 	// the index publishes the successor in the next handle, and requests
 	// pinned here keep probing this one until they finish.
-	idx     *usimrank.Index
+	idx *usimrank.Index
+	// lineage counts the undrained handles serving idx's lineage — the
+	// index a boot or reload installed and its patched successors, which
+	// all share one memory mapping (see usimrank/internal/index). Each
+	// handle holds one count from creation until it drains; the last to
+	// drain closes the mapping. A reload starts a new lineage, so the
+	// replaced one closes once its last request finishes, while an
+	// update's successor joins the lineage before its predecessor drains
+	// and the count never reaches zero in between. nil without an index.
+	lineage *atomic.Int64
 	builtAt time.Time
 
 	// refs counts pinned users plus one reference owned by the server
@@ -41,13 +50,23 @@ type engineHandle struct {
 	drained chan struct{}
 }
 
-func newEngineHandle(eng *usimrank.Engine, g *usimrank.Graph, source string, gen uint64, idx *usimrank.Index) *engineHandle {
+// newEngineHandle builds the handle for one generation. lineage is the
+// predecessor's when idx was patched from its index, nil when idx (if
+// any) starts a new lineage.
+func newEngineHandle(eng *usimrank.Engine, g *usimrank.Graph, source string, gen uint64, idx *usimrank.Index, lineage *atomic.Int64) *engineHandle {
+	if idx != nil && lineage == nil {
+		lineage = new(atomic.Int64)
+	}
+	if lineage != nil {
+		lineage.Add(1)
+	}
 	h := &engineHandle{
 		eng:     eng,
 		graph:   g,
 		source:  source,
 		gen:     gen,
 		idx:     idx,
+		lineage: lineage,
 		builtAt: time.Now(),
 		drained: make(chan struct{}),
 	}
@@ -71,10 +90,15 @@ func (h *engineHandle) tryAcquire() bool {
 	}
 }
 
-// release unpins the handle; the final release closes drained.
+// release unpins the handle; the final release closes drained and, if
+// this was the lineage's last undrained handle, the index mapping. No
+// request can still probe it: every handle of the lineage has drained.
 func (h *engineHandle) release() {
 	if h.refs.Add(-1) == 0 {
 		close(h.drained)
+		if h.lineage != nil && h.lineage.Add(-1) == 0 {
+			h.idx.Close() // munmap of a mapping we own cannot fail
+		}
 	}
 }
 

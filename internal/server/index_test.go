@@ -1,7 +1,10 @@
 package server
 
 import (
+	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 
 	"usimrank"
@@ -193,9 +196,29 @@ func TestUpdatePatchesResidentIndex(t *testing.T) {
 	}
 }
 
+// mappings counts the memory mappings of path in this process, or
+// returns -1 where /proc/self/maps is not available.
+func mappings(t *testing.T, path string) int {
+	t.Helper()
+	maps, err := os.ReadFile("/proc/self/maps")
+	if err != nil {
+		return -1
+	}
+	n := 0
+	for _, line := range strings.Split(string(maps), "\n") {
+		if strings.Contains(line, path) {
+			n++
+		}
+	}
+	return n
+}
+
 // TestReloadIndexLifecycle exercises both reload paths: a reload
 // without an index drops the resident one (the old index describes the
 // old engine), and a reload naming an index file loads and serves it.
+// Where /proc/self/maps exists it also checks that no mapping leaks: a
+// rejected index is unmapped at once, an update keeps the mapping its
+// patched successor shares, and a reload unmaps the replaced lineage.
 func TestReloadIndexLifecycle(t *testing.T) {
 	g := testGraph()
 	idx := buildTestIndex(t, g, testOptions())
@@ -229,6 +252,23 @@ func TestReloadIndexLifecycle(t *testing.T) {
 	if stats.Index == nil || stats.Index.Generation != 1 {
 		t.Fatalf("index stats after reload: %+v", stats.Index)
 	}
+	procMaps := mappings(t, idxPath) >= 0
+	if procMaps && mappings(t, idxPath) == 0 {
+		t.Fatal("loaded index is not mapped")
+	}
+
+	// An update patches the loaded index; the successor views the same
+	// mapping, so it must stay mapped and keep serving.
+	u, v, _ := firstArc(t, g)
+	if code := call(t, s, "POST", "/v1/admin/update", UpdateRequest{Updates: []ArcUpdateRequest{{Op: "reweight", U: u, V: v, P: 0.37}}}, nil); code != 200 {
+		t.Fatalf("update status %d", code)
+	}
+	if procMaps && mappings(t, idxPath) == 0 {
+		t.Fatal("update unmapped the index its patched successor shares")
+	}
+	if code := call(t, s, "POST", "/v1/source", SourceRequest{Alg: "indexed", U: 3}, &src); code != 200 {
+		t.Fatalf("indexed after update: status %d", code)
+	}
 
 	// A reload whose index does not match the new engine must fail
 	// whole: the old generation keeps serving.
@@ -245,5 +285,84 @@ func TestReloadIndexLifecycle(t *testing.T) {
 	}
 	if code := call(t, s, "POST", "/v1/source", SourceRequest{Alg: "indexed", U: 3}, &src); code != 200 {
 		t.Fatalf("old index stopped serving after failed reload: status %d", code)
+	}
+	if procMaps && mappings(t, badPath) != 0 {
+		t.Fatalf("rejected index left %d mappings", mappings(t, badPath))
+	}
+
+	// A reload replaces the lineage: once the old handle drains, its
+	// index is unmapped.
+	if code := call(t, s, "POST", "/v1/admin/reload", ReloadRequest{Graph: path}, &rel); code != 200 || !rel.Drained {
+		t.Fatalf("final reload: status %d, drained %v", code, rel.Drained)
+	}
+	if procMaps && mappings(t, idxPath) != 0 {
+		t.Fatalf("replaced index left %d mappings", mappings(t, idxPath))
+	}
+}
+
+// TestIndexMappingUnderConcurrentSwaps serves indexed queries from
+// several goroutines while the admin plane alternates reloads that load
+// the index file (a new lineage and mapping each time), updates that
+// patch it, and reloads without it. A mapping closed while a request
+// could still probe it would fault the process; every query must answer
+// 200 (index resident) or 400 (none). Once the last lineage is replaced
+// no mapping of the file remains.
+func TestIndexMappingUnderConcurrentSwaps(t *testing.T) {
+	g := testGraph()
+	idxPath := filepath.Join(t.TempDir(), "graph.usix")
+	if err := buildTestIndex(t, g, testOptions()).Write(idxPath); err != nil {
+		t.Fatal(err)
+	}
+	boot, err := usimrank.LoadIndexFile(idxPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Config{Engine: testOptions(), Index: boot})
+	path := writeGraphFile(t, g)
+	u, v, p := firstArc(t, g)
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				code, err := callE(s, "POST", "/v1/source", SourceRequest{Alg: "indexed", U: (r + i) % g.NumVertices()}, nil)
+				if err != nil || (code != 200 && code != 400) {
+					t.Errorf("reader %d: indexed query status %d, err %v", r, code, err)
+					return
+				}
+			}
+		}(r)
+	}
+	for i := 0; i < 6; i++ {
+		ops := []struct {
+			path string
+			body any
+		}{
+			{"/v1/admin/update", UpdateRequest{Updates: []ArcUpdateRequest{{Op: "reweight", U: u, V: v, P: p / float64(i+2)}}}},
+			{"/v1/admin/reload", ReloadRequest{Graph: path}},
+			{"/v1/admin/reload", ReloadRequest{Graph: path, Index: idxPath}},
+			{"/v1/admin/update", UpdateRequest{Updates: []ArcUpdateRequest{{Op: "reweight", U: u, V: v, P: p}}}},
+		}
+		for _, op := range ops {
+			if code, err := callE(s, "POST", op.path, op.body, nil); err != nil || code != 200 {
+				t.Fatalf("round %d %s: status %d, err %v", i, op.path, code, err)
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if code := call(t, s, "POST", "/v1/admin/reload", ReloadRequest{Graph: path}, nil); code != 200 {
+		t.Fatalf("final reload status %d", code)
+	}
+	if n := mappings(t, idxPath); n > 0 {
+		t.Fatalf("%d mappings of the index file left after its last lineage was replaced", n)
 	}
 }

@@ -135,7 +135,7 @@ func TestFlightGroupWaiterTimeout(t *testing.T) {
 // owner reference and every pin are gone, and a drained handle rejects
 // new pins (the swap race).
 func TestEngineHandleDrain(t *testing.T) {
-	h := newEngineHandle(nil, nil, "test", 1, nil)
+	h := newEngineHandle(nil, nil, "test", 1, nil, nil)
 	if !h.tryAcquire() {
 		t.Fatal("pin on live handle failed")
 	}

@@ -33,7 +33,9 @@ type Config struct {
 	// with the boot engine — a mismatched index must fail loudly at boot,
 	// never answer quietly from the wrong graph. Incremental updates
 	// patch it in place (only BFS-touched vertices recomputed); reloads
-	// drop it unless the reload names a replacement.
+	// drop it unless the reload names a replacement. A server New
+	// accepts owns the index: it closes the index's mapping once a
+	// reload has replaced it and the last request using it has finished.
 	Index *usimrank.Index
 	// MaxInFlight bounds concurrently admitted queries across all
 	// shapes. Default: 4× the engine's effective Parallelism, at least
@@ -186,7 +188,7 @@ func New(g *usimrank.Graph, source string, cfg Config) (*Server, error) {
 		cancel:  cancel,
 		start:   time.Now(),
 	}
-	s.cur.Store(newEngineHandle(eng, g, source, 1, cfg.Index))
+	s.cur.Store(newEngineHandle(eng, g, source, 1, cfg.Index, nil))
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/score", func(w http.ResponseWriter, r *http.Request) { s.handleQuery(w, r, new(ScoreRequest)) })
 	s.mux.HandleFunc("POST /v1/source", func(w http.ResponseWriter, r *http.Request) { s.handleQuery(w, r, new(SourceRequest)) })
@@ -441,6 +443,7 @@ func (s *Server) Reload(path string, warm bool, indexPath string) (*ReloadRespon
 			return nil, fmt.Errorf("load index: %w", err)
 		}
 		if err := eng.CheckIndex(idx); err != nil {
+			idx.Close()
 			return nil, fmt.Errorf("index rejected: %w", err)
 		}
 	}
@@ -450,9 +453,12 @@ func (s *Server) Reload(path string, warm bool, indexPath string) (*ReloadRespon
 	buildMs := time.Since(buildStart).Milliseconds()
 
 	old := s.cur.Load()
-	next := newEngineHandle(eng, g, path, old.gen+1, idx)
+	next := newEngineHandle(eng, g, path, old.gen+1, idx, nil)
 	s.cur.Store(next)
-	old.release() // drop the server's ownership reference
+	// Drop the server's ownership reference. The reload starts a new
+	// index lineage, so once the old lineage's last handle drains,
+	// release closes the replaced index's mapping.
+	old.release()
 	// A reload replaces the whole graph, so every subscription's answer
 	// may have changed: no invalidation set exists, wake them all.
 	woken := s.subs.WakeAll(next.gen)
@@ -547,7 +553,9 @@ func (s *Server) ApplyUpdates(ups []usimrank.ArcUpdate) (*UpdateResponse, error)
 	applyMs := time.Since(applyStart).Milliseconds()
 
 	g := derived.Graph()
-	next := newEngineHandle(derived, g, old.source, old.gen+1, idx)
+	// The patched index shares the old one's mapping, so next joins the
+	// old handle's lineage and the mapping stays open across the swap.
+	next := newEngineHandle(derived, g, old.source, old.gen+1, idx, old.lineage)
 	s.cur.Store(next)
 	old.release() // drop the server's ownership reference
 	// Wake exactly the subscriptions whose answer can have changed: the

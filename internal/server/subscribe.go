@@ -395,9 +395,11 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 				s.subs.NoteDropped()
 				return
 			}
+			// Count the push before flushing it, so a client that has
+			// read the event always finds it in the stats.
+			s.subs.NotePush()
 			fl.Flush()
 			lastSent = gen
-			s.subs.NotePush()
 		}
 	}
 }
