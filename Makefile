@@ -2,7 +2,11 @@
 # commands; the targets here exist so the local invocations and the
 # gate's inputs cannot drift apart.
 
-.PHONY: build test race check bench-baseline
+.PHONY: build test race check bench-set bench-baseline
+
+# The bench-gate benchmark set, declared once: the bench-gate CI job
+# reads it through `make -s bench-set`, and bench-baseline records it.
+BENCH_SET := SRSP|SingleSource|SamplingV2|ApplyUpdates
 
 build:
 	go build ./...
@@ -18,12 +22,14 @@ check: build
 	gofmt -l .
 	go test ./...
 
+bench-set:
+	@echo '$(BENCH_SET)'
+
 # Refresh the committed long-horizon perf baseline. The bench-gate CI
 # job compares BENCH_BASELINE.json against every PR's head run (via
 # benchstat, informational) and prints the drift between the committed
 # stream and a same-machine re-run so runner skew stays visible. Run
 # this on a quiet machine when a PR intentionally shifts performance,
-# and review the delta alongside the code — the benchmark set must stay
-# identical to the bench-gate job's regex.
+# and review the delta alongside the code.
 bench-baseline:
-	go test -json -run '^$$' -bench 'SRSP|SingleSource|SamplingV2|ApplyUpdates' -benchmem -benchtime 3x -count 3 . > BENCH_BASELINE.json
+	go test -json -run '^$$' -bench '$(BENCH_SET)' -benchmem -benchtime 3x -count 3 . > BENCH_BASELINE.json

@@ -1,8 +1,9 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation section, plus the design ablations of DESIGN.md §5. Each
-// benchmark wraps the corresponding internal/exp runner at the Tiny
-// scale so the full suite runs in minutes; `cmd/usim-exp -scale small`
-// (or `paper`) runs the same experiments at larger sizes.
+// evaluation section, plus the design ablations listed in the README's
+// "Where this code departs from the paper". Each benchmark wraps the
+// corresponding internal/exp runner at the Tiny scale so the full suite
+// runs in minutes; `cmd/usim-exp -scale small` (or `paper`) runs the
+// same experiments at larger sizes.
 package usimrank_test
 
 import (

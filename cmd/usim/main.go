@@ -38,6 +38,7 @@ import (
 	"net/http"
 	"net/url"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -50,14 +51,21 @@ import (
 // deterministic/expected-measure baselines); everything else must
 // parse through usimrank.ParseAlgorithm, the one name list the CLI
 // shares with the serving plane.
-var baselineAlgs = map[string]bool{"det": true, "du": true, "jaccard": true}
+var baselineAlgs = []string{"det", "du", "jaccard"}
 
 func main() {
+	// The -alg values: the engine strategies that need no index, named
+	// by the engine's strategy table, then the baselines.
+	var algs []string
+	for _, a := range usimrank.Algorithms() {
+		algs = append(algs, strings.ToLower(a.String()))
+	}
+	algs = append(algs, baselineAlgs...)
 	var (
 		graphPath = flag.String("graph", "", "uncertain graph file (text or binary)")
 		u         = flag.Int("u", 0, "first vertex")
 		v         = flag.Int("v", 1, "second vertex")
-		alg       = flag.String("alg", "srsp", "algorithm: baseline | sampling | twophase | srsp | sampling_v2 | det | du | jaccard")
+		alg       = flag.String("alg", "srsp", "algorithm: "+strings.Join(algs, " | "))
 		c         = flag.Float64("c", 0.6, "decay factor in (0,1)")
 		n         = flag.Int("n", 5, "SimRank iterations")
 		samples   = flag.Int("N", 1000, "sampled walk pairs")
@@ -86,8 +94,11 @@ func main() {
 		usage("-graph is required")
 	}
 	engineAlg, algErr := usimrank.ParseAlgorithm(*alg)
-	if algErr != nil && !baselineAlgs[*alg] {
-		usage(fmt.Sprintf("unknown algorithm %q (want baseline, sampling, twophase, srsp, sampling_v2, det, du or jaccard)", *alg))
+	if algErr != nil && !slices.Contains(baselineAlgs, *alg) {
+		usage(fmt.Sprintf("unknown algorithm %q (want %s)", *alg, strings.Join(algs, ", ")))
+	}
+	if algErr == nil && !slices.Contains(usimrank.Algorithms(), engineAlg) {
+		usage(fmt.Sprintf("algorithm %q needs a reverse-walk index, which usim does not load (query it through usimd -index)", *alg))
 	}
 	if !(*c > 0 && *c < 1) {
 		usage(fmt.Sprintf("-c %v outside (0,1)", *c))
@@ -108,7 +119,7 @@ func main() {
 		usage(fmt.Sprintf("-topk %d < 0", *topK))
 	}
 	if (*source >= 0 || *topK > 0) && algErr != nil {
-		usage(fmt.Sprintf("algorithm %q does not support -source/-topk (use baseline, sampling, twophase or srsp)", *alg))
+		usage(fmt.Sprintf("algorithm %q does not support -source/-topk (use an engine algorithm)", *alg))
 	}
 	if *eps < 0 {
 		usage(fmt.Sprintf("-eps %v < 0", *eps))

@@ -197,12 +197,15 @@ func TestCoordinatorValidation(t *testing.T) {
 		{"/v1/score", `{"alg":"pagerank","u":0,"v":1}`, 400},
 		{"/v1/score", `{"alg":"srsp","u":0,"v":1,"bogus":3}`, 400},
 		{"/v1/score", `{"alg":"srsp","u":0,"v":1,"eps":-0.1}`, 400},
+		{"/v1/score", `{"alg":"indexed","u":0,"v":1}`, 400},
 		{"/v1/source", `{"alg":"pagerank","u":0}`, 400},
 		{"/v1/source", `{"alg":"srsp","u":0,"delta":0.1}`, 400},
 		{"/v1/topk", `{"alg":"srsp","k":0}`, 400},
 		{"/v1/topk", `{"alg":"srsp","u":1,"k":2,"sources":[1,2]}`, 400},
 		{"/v1/topk", `{"alg":"srsp","k":2,"sources":[1,1]}`, 400},
+		{"/v1/topk", `{"alg":"indexed","u":1,"k":2}`, 400},
 		{"/v1/batch", `{"alg":"srsp","pairs":[]}`, 400},
+		{"/v1/batch", `{"alg":"indexed","pairs":[[0,1]]}`, 400},
 		{"/v1/admin/update", `{"updates":[]}`, 400},
 		{"/v1/admin/update", `{"updates":[{"op":"explode","u":0,"v":1}]}`, 400},
 		{"/v1/admin/reload", `{"graph":""}`, 400},

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -211,10 +212,32 @@ func TestTraceStaleSwapRejection(t *testing.T) {
 	g := testGraph()
 	au, av, _ := g.ArcEndpoints(0)
 	stale := newShardNode(t, g)
-	current := newShardNode(t, g)
+	node, err := server.New(g, "test://shard", server.Config{Engine: testOptions()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(node.Close)
+	// The client hedges after 1 ms, so the current endpoint could answer
+	// first and cancel the stale attempt before it is rejected. Its score
+	// handler holds the answer until the client has counted the stale
+	// rejection; the bound only keeps a broken client from hanging the
+	// test.
+	var client atomic.Pointer[Client]
+	current := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/score" {
+			for end := time.Now().Add(5 * time.Second); time.Now().Before(end); time.Sleep(time.Millisecond) {
+				if c := client.Load(); c != nil && c.Counters()[0].StaleRejected > 0 {
+					break
+				}
+			}
+		}
+		node.ServeHTTP(w, r)
+	}))
+	t.Cleanup(current.Close)
 	directUpdate(t, current.URL, au, av, 0.111)
 
 	c := NewClient([][]string{{stale.URL, current.URL}}, http.DefaultClient, 5*time.Second, time.Millisecond)
+	client.Store(c)
 	tr := obs.NewTrace("", 0)
 	root := tr.Start("client_do")
 	ctx := obs.ContextWithSpan(t.Context(), root)

@@ -148,26 +148,16 @@ type adaptivePlan struct {
 func (ap adaptivePlan) exact() bool { return len(ap.totals) == 0 }
 
 // planAdaptive resolves the coefficients, walk schedule, and confidence
-// shares of one adaptive query.
-func (e *Engine) planAdaptive(alg Algorithm, ao AdaptiveOptions) (adaptivePlan, error) {
+// shares of one adaptive query under st's exact prefix.
+func (e *Engine) planAdaptive(st *strategy, ao AdaptiveOptions) (adaptivePlan, error) {
 	if err := ao.validate(); err != nil {
 		return adaptivePlan{}, err
 	}
-	ap := adaptivePlan{eps: ao.Eps, delta: ao.Delta}
+	ap := adaptivePlan{l: st.depth(e), eps: ao.Eps, delta: ao.Delta}
 	if ap.delta == 0 {
 		ap.delta = AdaptiveDefaultDelta
 	}
 	n := e.opt.Steps
-	switch alg {
-	case AlgBaseline:
-		ap.l = n
-	case AlgSampling, AlgSamplingV2:
-		ap.l = -1
-	case AlgTwoPhase, AlgSRSP:
-		ap.l = min(e.opt.L, n)
-	default:
-		return adaptivePlan{}, fmt.Errorf("core: algorithm %v has no adaptive mode", alg)
-	}
 	if ap.l >= n {
 		return ap, nil // fully exact: nothing to sample
 	}
@@ -452,37 +442,15 @@ func (e *Engine) AdaptiveComputeCtx(ctx context.Context, alg Algorithm, u, v int
 	return res, err
 }
 
+// adaptivePair runs the pair as the one-candidate source query: the
+// single-source kernels and the sweep score every candidate exactly as
+// the pairwise shape would.
 func (e *Engine) adaptivePair(ctx context.Context, p *parallel.Pool, alg Algorithm, u, v int, ao AdaptiveOptions) (AdaptiveResult, error) {
-	if err := e.checkVertex(u); err != nil {
-		return AdaptiveResult{}, err
-	}
-	if err := e.checkVertex(v); err != nil {
-		return AdaptiveResult{}, err
-	}
-	ap, err := e.planAdaptive(alg, ao)
+	res, err := e.adaptiveSource(ctx, p, alg, u, []int{v}, ao)
 	if err != nil {
 		return AdaptiveResult{}, err
 	}
-	if ap.exact() {
-		s, err := e.computeWith(p, alg, u, v)
-		if err != nil {
-			return AdaptiveResult{}, err
-		}
-		if err := p.Err(); err != nil {
-			return AdaptiveResult{}, err
-		}
-		return AdaptiveResult{Score: s, Converged: true}, nil
-	}
-	pre, err := e.exactPrefix(u, v, ap.l)
-	if err != nil {
-		return AdaptiveResult{}, err
-	}
-	res, err := e.adaptiveSweep(ctx, p, u, []float64{pre}, ap, e.sampledCandidate([]int{v}, ap))
-	if err != nil {
-		return AdaptiveResult{}, err
-	}
-	res.Score = res.Scores[0]
-	res.Scores = nil
+	res.Score, res.Scores = res.Scores[0], nil
 	return res, nil
 }
 
@@ -521,7 +489,11 @@ func (e *Engine) adaptiveSource(ctx context.Context, p *parallel.Pool, alg Algor
 			return AdaptiveResult{}, err
 		}
 	}
-	ap, err := e.planAdaptive(alg, ao)
+	st, err := strategyFor(alg)
+	if err != nil {
+		return AdaptiveResult{}, err
+	}
+	ap, err := e.planAdaptive(st, ao)
 	if err != nil {
 		return AdaptiveResult{}, err
 	}
@@ -589,8 +561,7 @@ func (e *Engine) adaptiveIndexed(ctx context.Context, p *parallel.Pool, x Source
 			return AdaptiveResult{}, err
 		}
 	}
-	// The indexed estimator has no exact prefix: plan as fully sampled.
-	ap, err := e.planAdaptive(AlgSamplingV2, ao)
+	ap, err := e.planAdaptive(AlgIndexed.row(), ao)
 	if err != nil {
 		return AdaptiveResult{}, err
 	}

@@ -2,75 +2,11 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"strings"
 
 	"usimrank/internal/cache"
 	"usimrank/internal/matrix"
 	"usimrank/internal/parallel"
 )
-
-// Algorithm selects one of the SimRank computation strategies.
-type Algorithm int
-
-// The four algorithms of Sec. VI, plus the v2 rewrite of the Monte
-// Carlo kernel.
-const (
-	AlgBaseline Algorithm = iota
-	AlgSampling
-	AlgTwoPhase
-	AlgSRSP
-	// AlgSamplingV2 is the Sampling estimator on the v2 kernel
-	// (internal/mc Plan/Arena): same measure, same Hoeffding bounds,
-	// different randomness-consumption order, so its values differ from
-	// AlgSampling's within sampling tolerance and are pinned separately.
-	AlgSamplingV2
-)
-
-// String implements fmt.Stringer.
-func (a Algorithm) String() string {
-	switch a {
-	case AlgBaseline:
-		return "Baseline"
-	case AlgSampling:
-		return "Sampling"
-	case AlgTwoPhase:
-		return "SR-TS"
-	case AlgSRSP:
-		return "SR-SP"
-	case AlgSamplingV2:
-		return "Sampling-v2"
-	default:
-		return fmt.Sprintf("Algorithm(%d)", int(a))
-	}
-}
-
-// Algorithms lists the strategies in their canonical order — the
-// iteration set for sweeps, CLIs, and serving planes.
-func Algorithms() []Algorithm {
-	return []Algorithm{AlgBaseline, AlgSampling, AlgTwoPhase, AlgSRSP, AlgSamplingV2}
-}
-
-// ParseAlgorithm maps a user-facing algorithm name to its Algorithm.
-// It accepts the CLI spellings ("baseline", "sampling", "twophase",
-// "srsp", "sampling_v2") plus the paper's names ("sr-ts", "sr-sp"),
-// case-insensitively.
-func ParseAlgorithm(s string) (Algorithm, error) {
-	switch strings.ToLower(s) {
-	case "baseline":
-		return AlgBaseline, nil
-	case "sampling":
-		return AlgSampling, nil
-	case "twophase", "two-phase", "srts", "sr-ts":
-		return AlgTwoPhase, nil
-	case "srsp", "sr-sp":
-		return AlgSRSP, nil
-	case "sampling_v2", "sampling-v2", "samplingv2":
-		return AlgSamplingV2, nil
-	default:
-		return 0, fmt.Errorf("core: unknown algorithm %q (want baseline, sampling, twophase, srsp or sampling_v2)", s)
-	}
-}
 
 // Compute dispatches to the selected algorithm.
 func (e *Engine) Compute(alg Algorithm, u, v int) (float64, error) {
@@ -80,20 +16,11 @@ func (e *Engine) Compute(alg Algorithm, u, v int) (float64, error) {
 // computeWith dispatches with an explicit sampling pool (nil = inline),
 // so outer fan-outs like Batch can disable the per-query one.
 func (e *Engine) computeWith(p *parallel.Pool, alg Algorithm, u, v int) (float64, error) {
-	switch alg {
-	case AlgBaseline:
-		return e.Baseline(u, v)
-	case AlgSampling:
-		return e.samplingWith(p, u, v)
-	case AlgTwoPhase:
-		return e.twoPhaseWith(p, u, v)
-	case AlgSRSP:
-		return e.srspWith(p, u, v)
-	case AlgSamplingV2:
-		return e.samplingV2With(p, u, v)
-	default:
-		return 0, fmt.Errorf("core: unknown algorithm %d", int(alg))
+	st, err := strategyFor(alg)
+	if err != nil {
+		return 0, err
 	}
+	return st.pair(e, p, u, v)
 }
 
 // Clone returns an engine over the same graph with the same options but
@@ -155,7 +82,7 @@ func batchWith(ctx context.Context, e *Engine, alg Algorithm, pairs [][2]int, wo
 		pool = parallel.NewPool(workers)
 	}
 	pool = pool.WithContext(ctx)
-	if alg == AlgSRSP && e.opt.L < e.opt.Steps {
+	if st := alg.row(); st.filters && st.depth(e) < e.opt.Steps {
 		e.pools() // build the shared filters once, before the fan-out
 	}
 	out := make([]PairResult, len(pairs))

@@ -43,11 +43,7 @@ func (e *Engine) ComputeCtx(ctx context.Context, alg Algorithm, u, v int) (float
 
 // SingleSourceCtx is SingleSource with cancellation.
 func (e *Engine) SingleSourceCtx(ctx context.Context, alg Algorithm, u int) ([]float64, error) {
-	candidates := make([]int, e.g.NumVertices())
-	for i := range candidates {
-		candidates[i] = i
-	}
-	return e.SingleSourceAgainstCtx(ctx, alg, u, candidates)
+	return e.SingleSourceAgainstCtx(ctx, alg, u, e.allCandidates())
 }
 
 // SingleSourceAgainstCtx is SingleSourceAgainst with cancellation.

@@ -254,27 +254,13 @@ func (e *Engine) RowCacheStats() (size int, evictions uint64) {
 	return e.rows.Len(), e.rows.Evictions()
 }
 
-// exactDepth reports how deep the algorithm's exact-row prefix goes —
-// the single source of truth the kernels and the warm path share — or
-// ok=false when the algorithm never consults exact rows.
-func (e *Engine) exactDepth(alg Algorithm) (int, bool) {
-	switch alg {
-	case AlgBaseline:
-		return e.opt.Steps, true
-	case AlgTwoPhase, AlgSRSP:
-		return min(e.opt.L, e.opt.Steps), true
-	default:
-		return 0, false
-	}
-}
-
 // WarmRowsFor warms the row cache for a sweep that will run alg over
 // the given sources, deriving the prefix depth from the algorithm so
 // callers cannot drift from what the kernels actually fetch. A no-op
 // for algorithms that never touch exact rows.
 func (e *Engine) WarmRowsFor(alg Algorithm, vertices []int) error {
-	depth, ok := e.exactDepth(alg)
-	if !ok {
+	depth := alg.row().depth(e)
+	if depth < 0 {
 		return nil
 	}
 	return e.WarmRows(vertices, depth)
@@ -407,6 +393,11 @@ func (e *Engine) Baseline(u, v int) (float64, error) {
 	return Combine(m, e.opt.C, e.opt.Steps), nil
 }
 
+// baselineWith is Baseline in the pair-kernel shape; it samples nothing.
+func (e *Engine) baselineWith(_ *parallel.Pool, u, v int) (float64, error) {
+	return e.Baseline(u, v)
+}
+
 // Per-side walk-stream salts: a vertex's u-side and v-side walk sets
 // stay independent even for s(u,u).
 const (
@@ -505,7 +496,7 @@ func (e *Engine) TwoPhase(u, v int) (float64, error) {
 }
 
 func (e *Engine) twoPhaseWith(p *parallel.Pool, u, v int) (float64, error) {
-	l, _ := e.exactDepth(AlgTwoPhase)
+	l := e.splitDepth()
 	exact, err := e.MeetingExact(u, v, l)
 	if err != nil {
 		return 0, err
@@ -577,7 +568,7 @@ func (e *Engine) SRSP(u, v int) (float64, error) {
 }
 
 func (e *Engine) srspWith(p *parallel.Pool, u, v int) (float64, error) {
-	l, _ := e.exactDepth(AlgSRSP)
+	l := e.splitDepth()
 	exact, err := e.MeetingExact(u, v, l)
 	if err != nil {
 		return 0, err
@@ -608,7 +599,7 @@ func (e *Engine) SRSPMatrix(vertices []int) ([][]float64, error) {
 	}
 	fu, fv := e.pools()
 	n := e.opt.Steps
-	l, _ := e.exactDepth(AlgSRSP)
+	l := e.splitDepth()
 
 	// Phase 1: counting-table propagations, two independent tasks per
 	// vertex (u-side and v-side pools), fanned out over the worker pool.

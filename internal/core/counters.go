@@ -66,33 +66,27 @@ func (e *Engine) RowCacheCounters() (hits, misses, evictions uint64) {
 	return hits, misses, e.rows.Evictions()
 }
 
-// pairWalks is the analytic walk count of one pairwise query: the
-// sampling strategies draw N walks per side, the exact strategies none,
-// and the two-phase strategies only when the sampled tail is non-empty.
+// pairWalks is the analytic walk count of one pairwise query, that of
+// a one-candidate source query for a strategy that serves pairs.
 // Attached to trace spans so a profile names the sampling effort behind
 // each number without the kernels having to thread span handles around.
 func (e *Engine) pairWalks(alg Algorithm) int64 {
-	switch alg {
-	case AlgSampling, AlgSamplingV2:
-		return int64(2 * e.opt.N)
-	case AlgTwoPhase:
-		if l, _ := e.exactDepth(AlgTwoPhase); l < e.opt.Steps {
-			return int64(2 * e.opt.N)
-		}
+	if alg.row().pair == nil {
+		return 0
 	}
-	return 0
+	return e.singleSourceWalks(alg, 1)
 }
 
-// singleSourceWalks is pairWalks' single-source analogue: the source's
-// walks are drawn once and replayed, each candidate costs one side.
+// singleSourceWalks is the analytic walk count of one source query: N
+// walks for the source, drawn once and replayed, plus N per candidate
+// unless candidates probe an index — and none when the strategy draws
+// no walks or its exact prefix covers every step.
 func (e *Engine) singleSourceWalks(alg Algorithm, candidates int) int64 {
-	switch alg {
-	case AlgSampling, AlgSamplingV2:
-		return int64(e.opt.N) * int64(1+candidates)
-	case AlgTwoPhase:
-		if l, _ := e.exactDepth(AlgTwoPhase); l < e.opt.Steps {
-			return int64(e.opt.N) * int64(1+candidates)
-		}
+	switch st := alg.row(); {
+	case !st.walks || st.depth(e) >= e.opt.Steps:
+		return 0
+	case st.index:
+		return int64(e.opt.N)
 	}
-	return 0
+	return int64(e.opt.N) * int64(1+candidates)
 }

@@ -228,11 +228,7 @@ func (e *Engine) VSideOccupancy(v int) ([]matrix.Vec, error) {
 // work went into the index. See the package comment above for the
 // accuracy contract relative to SingleSource(AlgSampling, u).
 func (e *Engine) SingleSourceIndexed(x SourceIndex, u int) ([]float64, error) {
-	candidates := make([]int, e.g.NumVertices())
-	for i := range candidates {
-		candidates[i] = i
-	}
-	return e.SingleSourceIndexedAgainst(x, u, candidates)
+	return e.SingleSourceIndexedAgainst(x, u, e.allCandidates())
 }
 
 // SingleSourceIndexedAgainst is SingleSourceIndexed restricted to an
@@ -243,11 +239,7 @@ func (e *Engine) SingleSourceIndexedAgainst(x SourceIndex, u int, candidates []i
 
 // SingleSourceIndexedCtx is SingleSourceIndexed with cancellation.
 func (e *Engine) SingleSourceIndexedCtx(ctx context.Context, x SourceIndex, u int) ([]float64, error) {
-	candidates := make([]int, e.g.NumVertices())
-	for i := range candidates {
-		candidates[i] = i
-	}
-	return e.SingleSourceIndexedAgainstCtx(ctx, x, u, candidates)
+	return e.SingleSourceIndexedAgainstCtx(ctx, x, u, e.allCandidates())
 }
 
 // SingleSourceIndexedAgainstCtx is SingleSourceIndexedAgainst with

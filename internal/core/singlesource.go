@@ -30,11 +30,7 @@ import (
 // over the engine's worker pool; results are independent of
 // Parallelism.
 func (e *Engine) SingleSource(alg Algorithm, u int) ([]float64, error) {
-	candidates := make([]int, e.g.NumVertices())
-	for i := range candidates {
-		candidates[i] = i
-	}
-	return e.SingleSourceAgainst(alg, u, candidates)
+	return e.SingleSourceAgainst(alg, u, e.allCandidates())
 }
 
 // SingleSourceAgainst is SingleSource restricted to an explicit
@@ -46,14 +42,8 @@ func (e *Engine) SingleSourceAgainst(alg Algorithm, u int, candidates []int) ([]
 
 func (e *Engine) singleSourceWith(p *parallel.Pool, alg Algorithm, u int, candidates []int) ([]float64, error) {
 	out := make([]float64, len(candidates))
-	errs := make([]error, len(candidates))
-	if err := e.singleSourceInto(p, alg, u, candidates, out, errs); err != nil {
+	if err := e.singleSourceChecked(p, alg, u, candidates, out); err != nil {
 		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
 	}
 	return out, nil
 }
@@ -69,13 +59,19 @@ func (e *Engine) SingleSourceAgainstInto(alg Algorithm, u int, candidates []int,
 	if len(out) != len(candidates) {
 		return fmt.Errorf("core: out length %d != candidate count %d", len(out), len(candidates))
 	}
-	// Only kernels that fetch exact rows per candidate can fail
-	// per-candidate; the pure sampling kernels never touch errs.
+	return e.singleSourceChecked(e.pool, alg, u, candidates, out)
+}
+
+// singleSourceChecked runs singleSourceInto and returns its first failure,
+// the u-side one or a candidate's. Only kernels that fetch exact rows
+// per candidate can fail per candidate, so only they get error slots;
+// the sampling kernels never touch errs and allocate nothing here.
+func (e *Engine) singleSourceChecked(p *parallel.Pool, alg Algorithm, u int, candidates []int, out []float64) error {
 	var errs []error
-	if _, usesRows := e.exactDepth(alg); usesRows {
+	if alg.row().depth(e) >= 0 {
 		errs = make([]error, len(candidates))
 	}
-	if err := e.singleSourceInto(e.pool, alg, u, candidates, out, errs); err != nil {
+	if err := e.singleSourceInto(p, alg, u, candidates, out, errs); err != nil {
 		return err
 	}
 	for _, err := range errs {
@@ -100,29 +96,14 @@ func (e *Engine) singleSourceInto(p *parallel.Pool, alg Algorithm, u int, candid
 			return err
 		}
 	}
-	switch alg {
-	case AlgBaseline, AlgSampling, AlgTwoPhase, AlgSRSP, AlgSamplingV2:
-	default:
-		return fmt.Errorf("core: unknown algorithm %d", int(alg))
+	st, err := strategyFor(alg)
+	if err != nil {
+		return err
 	}
 	if len(candidates) == 0 {
 		return nil // nothing to score; skip the u-side preparation too
 	}
-	// Direct method calls rather than a method-value variable: binding a
-	// method value heap-allocates, which the SamplingV2 allocation gate
-	// forbids on this path.
-	switch alg {
-	case AlgBaseline:
-		return e.baselineKernel(p, u, candidates, out, errs)
-	case AlgSampling:
-		return e.samplingKernel(p, u, candidates, out, errs)
-	case AlgTwoPhase:
-		return e.twoPhaseKernel(p, u, candidates, out, errs)
-	case AlgSRSP:
-		return e.srspKernel(p, u, candidates, out, errs)
-	default:
-		return e.samplingV2Kernel(p, u, candidates, out, errs)
-	}
+	return st.source(e, p, u, candidates, out, errs)
 }
 
 // baselineKernel: exact rows of u once, one row lookup + dot per
@@ -191,7 +172,7 @@ func (e *Engine) samplingKernel(p *parallel.Pool, u int, candidates []int, out [
 // arithmetic to TwoPhase(u, v).
 func (e *Engine) twoPhaseKernel(p *parallel.Pool, u int, candidates []int, out []float64, errs []error) error {
 	n := e.opt.Steps
-	l, _ := e.exactDepth(AlgTwoPhase)
+	l := e.splitDepth()
 	ru, err := e.exactRows(u, l)
 	if err != nil {
 		return err
@@ -225,7 +206,7 @@ func (e *Engine) twoPhaseKernel(p *parallel.Pool, u int, candidates []int, out [
 // Identical arithmetic to SRSP(u, v).
 func (e *Engine) srspKernel(p *parallel.Pool, u int, candidates []int, out []float64, errs []error) error {
 	n := e.opt.Steps
-	l, _ := e.exactDepth(AlgSRSP)
+	l := e.splitDepth()
 	ru, err := e.exactRows(u, l)
 	if err != nil {
 		return err

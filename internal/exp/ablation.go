@@ -14,7 +14,8 @@ import (
 )
 
 // AblationResult is a generic named-measurement container for the
-// ablation studies of DESIGN.md §5.
+// ablation studies listed in the README's "Where this code departs
+// from the paper".
 type AblationResult struct {
 	Name   string
 	Values map[string]float64

@@ -19,8 +19,8 @@ type Table1Result struct {
 	// EnumWalkPr is the possible-world enumeration oracle (Eq. 8).
 	EnumWalkPr float64
 	// PaperV1Alpha is the value Table I prints for α_W(v1) (0.64), which
-	// disagrees with Eq. 11 and with the enumeration oracle; see
-	// DESIGN.md.
+	// disagrees with Eq. 11 and with the enumeration oracle; see the
+	// README's "Where this code departs from the paper".
 	PaperV1Alpha float64
 }
 

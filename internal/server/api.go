@@ -74,10 +74,10 @@ type ScoreResponse struct {
 }
 
 // SourceRequest asks for the single-source vector s(u, ·), optionally
-// restricted to an explicit candidate set. Alg additionally accepts
-// "indexed" (beyond the engine algorithms): answer from the
-// resident reverse-walk index plus a residual sample of u's walks —
-// 400 when the server holds no index for the current generation.
+// restricted to an explicit candidate set. Alg may also name the
+// source-only "indexed" strategy: answer from the resident
+// reverse-walk index plus a residual sample of u's walks — 400 when
+// the server holds no index for the current generation.
 type SourceRequest struct {
 	Alg        string `json:"alg"`
 	U          int    `json:"u"`

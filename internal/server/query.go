@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strings"
 	"time"
 
 	"usimrank"
@@ -20,12 +19,10 @@ import (
 // with the same bytes.
 type Query struct {
 	// Shape is "score", "source", "topk" or "batch"; Alg is the
-	// canonical algorithm name ("indexed" for the index path). Both key
-	// the per-shape metrics.
+	// canonical algorithm name. Both key the per-shape metrics.
 	Shape, Alg string
 
-	algo    usimrank.Algorithm // unset when indexed
-	indexed bool
+	algo    usimrank.Algorithm
 	u, v, k int
 	ofU     bool // topk: the k most similar to u (else the best pairs)
 	// candidates restricts a source query (nil: every vertex); sources
@@ -42,7 +39,7 @@ type Query struct {
 
 // Query validates the request and returns its serving identity.
 func (r *ScoreRequest) Query() (*Query, error) {
-	algo, err := usimrank.ParseAlgorithm(r.Alg)
+	algo, err := pairAlg(r.Alg)
 	if err != nil {
 		return nil, err
 	}
@@ -60,17 +57,9 @@ func (r *ScoreRequest) Query() (*Query, error) {
 // "indexed" is accepted here and checked against the pinned engine
 // later (see checkGraph): only an index-serving node can answer it.
 func (r *SourceRequest) Query() (*Query, error) {
-	q := &Query{
-		Shape: "source", Alg: AlgIndexed, indexed: strings.EqualFold(r.Alg, AlgIndexed),
-		u: r.U, candidates: r.Candidates,
-		eps: r.Eps, delta: r.Delta, timeoutMs: r.TimeoutMs, debug: r.Debug,
-	}
-	if !q.indexed {
-		algo, err := usimrank.ParseAlgorithm(r.Alg)
-		if err != nil {
-			return nil, fmt.Errorf(`%w (or "indexed" on an index-serving node)`, err)
-		}
-		q.algo, q.Alg = algo, algo.String()
+	algo, err := usimrank.ParseAlgorithm(r.Alg)
+	if err != nil {
+		return nil, err
 	}
 	if err := checkAccuracy(r.Eps, r.Delta); err != nil {
 		return nil, err
@@ -81,13 +70,16 @@ func (r *SourceRequest) Query() (*Query, error) {
 	if r.Candidates != nil {
 		candKey = DigestInts(r.Candidates)
 	}
-	q.operands = fmt.Sprintf("%d|%s", r.U, candKey)
-	return q, nil
+	return &Query{
+		Shape: "source", Alg: algo.String(), algo: algo, u: r.U, candidates: r.Candidates,
+		eps: r.Eps, delta: r.Delta, timeoutMs: r.TimeoutMs, debug: r.Debug,
+		operands: fmt.Sprintf("%d|%s", r.U, candKey),
+	}, nil
 }
 
 // Query validates the request and returns its serving identity.
 func (r *TopKRequest) Query() (*Query, error) {
-	algo, err := usimrank.ParseAlgorithm(r.Alg)
+	algo, err := pairAlg(r.Alg)
 	if err != nil {
 		return nil, err
 	}
@@ -120,7 +112,7 @@ func (r *TopKRequest) Query() (*Query, error) {
 // Out-of-range pairs are not request errors: a batch is a bulk
 // operation, and each bad pair fails alone in its result slot.
 func (r *BatchRequest) Query() (*Query, error) {
-	algo, err := usimrank.ParseAlgorithm(r.Alg)
+	algo, err := pairAlg(r.Alg)
 	if err != nil {
 		return nil, err
 	}
@@ -135,6 +127,17 @@ func (r *BatchRequest) Query() (*Query, error) {
 		Shape: "batch", Alg: algo.String(), algo: algo, pairs: r.Pairs,
 		timeoutMs: r.TimeoutMs, debug: r.Debug, operands: DigestInts(flat),
 	}, nil
+}
+
+// pairAlg parses the algorithm of a score, topk or batch request: the
+// engine's generic entry points those shapes run on refuse the
+// source-only usimrank.AlgIndexed.
+func pairAlg(name string) (usimrank.Algorithm, error) {
+	algo, err := usimrank.ParseAlgorithm(name)
+	if err == nil && algo == usimrank.AlgIndexed {
+		err = fmt.Errorf("algorithm %q serves source queries only", name)
+	}
+	return algo, err
 }
 
 // checkAccuracy validates an eps/delta accuracy target. eps == 0 (with
@@ -202,7 +205,7 @@ func (q *Query) vertexArgs() []int {
 // duplicate pairs-query sources. A coordinator holds no graph; the
 // owning shard runs these checks and the coordinator relays its 400.
 func (q *Query) checkGraph(h *engineHandle) error {
-	if q.indexed && h.idx == nil {
+	if q.algo == usimrank.AlgIndexed && h.idx == nil {
 		return errors.New("no reverse-walk index loaded for this generation; start usimd with -index, or reload with an index")
 	}
 	n := h.graph.NumVertices()
@@ -234,13 +237,23 @@ type adaptiveAnswer struct {
 // compute runs the query on h's engine: the one engine dispatch that
 // cold queries and subscription pushes share.
 func (q *Query) compute(ctx context.Context, h *engineHandle) (any, error) {
-	if q.indexed && h.idx == nil {
+	indexed := q.algo == usimrank.AlgIndexed
+	if indexed && h.idx == nil {
 		// A push can land on a generation whose reload dropped the index.
 		return nil, fmt.Errorf("no reverse-walk index loaded for generation %d", h.gen)
 	}
 	e := h.eng
 	ao := usimrank.AdaptiveOptions{Eps: q.eps, Delta: q.delta}
 	adaptive := q.eps > 0
+	// A source query without candidates scores every vertex: the
+	// engine's unrestricted source calls run the same sweep.
+	cands := q.candidates
+	if q.Shape == "source" && cands == nil {
+		cands = make([]int, h.graph.NumVertices())
+		for i := range cands {
+			cands[i] = i
+		}
+	}
 	switch {
 	case q.Shape == "score" && adaptive:
 		res, err := e.AdaptiveComputeCtx(ctx, q.algo, q.u, q.v, ao)
@@ -250,28 +263,16 @@ func (q *Query) compute(ctx context.Context, h *engineHandle) (any, error) {
 	case q.Shape == "source" && adaptive:
 		var res usimrank.AdaptiveResult
 		var err error
-		switch {
-		case q.indexed && q.candidates == nil:
-			res, err = e.AdaptiveSingleSourceIndexedCtx(ctx, h.idx, q.u, ao)
-		case q.indexed:
-			res, err = e.AdaptiveSingleSourceIndexedAgainstCtx(ctx, h.idx, q.u, q.candidates, ao)
-		case q.candidates == nil:
-			res, err = e.AdaptiveSingleSourceCtx(ctx, q.algo, q.u, ao)
-		default:
-			res, err = e.AdaptiveSingleSourceAgainstCtx(ctx, q.algo, q.u, q.candidates, ao)
+		if indexed {
+			res, err = e.AdaptiveSingleSourceIndexedAgainstCtx(ctx, h.idx, q.u, cands, ao)
+		} else {
+			res, err = e.AdaptiveSingleSourceAgainstCtx(ctx, q.algo, q.u, cands, ao)
 		}
 		return adaptiveAnswer{res.Scores, res}, err
+	case q.Shape == "source" && indexed:
+		return e.SingleSourceIndexedAgainstCtx(ctx, h.idx, q.u, cands)
 	case q.Shape == "source":
-		switch {
-		case q.indexed && q.candidates == nil:
-			return e.SingleSourceIndexedCtx(ctx, h.idx, q.u)
-		case q.indexed:
-			return e.SingleSourceIndexedAgainstCtx(ctx, h.idx, q.u, q.candidates)
-		case q.candidates == nil:
-			return e.SingleSourceCtx(ctx, q.algo, q.u)
-		default:
-			return e.SingleSourceAgainstCtx(ctx, q.algo, q.u, q.candidates)
-		}
+		return e.SingleSourceAgainstCtx(ctx, q.algo, q.u, cands)
 	case q.Shape == "topk" && adaptive:
 		var ranked []usimrank.TopKResult
 		var res usimrank.AdaptiveResult

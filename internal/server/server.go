@@ -285,7 +285,7 @@ func (s *Server) engineBackend(q *Query, h *engineHandle) Backend {
 // residual sample regardless of candidate count on the index path, and
 // the adaptive serving counters.
 func (s *Server) account(q *Query, h *engineHandle, val any, coalesced bool) {
-	if q.indexed {
+	if q.algo == usimrank.AlgIndexed {
 		s.indexQueries.Add(1)
 		if !coalesced {
 			cands := len(q.candidates)
@@ -323,12 +323,6 @@ func (s *Server) writeQueryError(w http.ResponseWriter, err error) {
 		WriteError(w, http.StatusInternalServerError, CodeEngineError, err.Error())
 	}
 }
-
-// AlgIndexed is the source-only algorithm name selecting the
-// reverse-walk index path (outside the engine's Algorithm enum: it
-// needs a resident index, so only /v1/source on an index-serving node
-// accepts it).
-const AlgIndexed = "indexed"
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, s.Stats())

@@ -29,8 +29,8 @@ import (
 // with Last-Event-ID resumes: the server re-sends a snapshot only when
 // the generation moved while the client was away.
 //
-// Query parameters: shape=score|source|topk, alg (an engine algorithm;
-// "indexed" additionally allowed for shape=source on an index-serving
+// Query parameters: shape=score|source|topk, alg (an algorithm name;
+// the source-only "indexed" needs shape=source on an index-serving
 // node), u, v (score only), k (topk only), candidates (source only,
 // comma-separated), staleness_ms (how long the server may sit on a
 // wake-up coalescing further generations before it must push; capped
@@ -216,10 +216,10 @@ func (s *Server) pushBody(q *Query, h *engineHandle) ([]byte, error) {
 	return MarshalBody(q.response(val, false, nil))
 }
 
-// writeTerminal emits a terminal event (shutdown/gone/error) carrying
-// the uniform error envelope as its payload, then flushes. Best-effort:
-// the client may already be gone.
-func writeTerminal(w http.ResponseWriter, fl http.Flusher, event string, id uint64, code, msg string) {
+// WriteTerminal emits a terminal event (shutdown/gone/error) carrying
+// the uniform error envelope as its payload, then flushes; coordinator
+// relays share it. Best-effort: the client may already be gone.
+func WriteTerminal(w http.ResponseWriter, fl http.Flusher, event string, id uint64, code, msg string) {
 	body, err := MarshalBody(ErrorResponse{Error: ErrorDetail{Code: code, Message: msg}})
 	if err != nil {
 		return
@@ -300,7 +300,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			sh.release()
 			s.subs.NoteDropped()
-			writeTerminal(w, fl, EventError, 0, CodeEngineError, "snapshot failed: "+err.Error())
+			WriteTerminal(w, fl, EventError, 0, CodeEngineError, "snapshot failed: "+err.Error())
 			return
 		}
 		if sub.WriteEvent(w, EventSnapshot, sh.gen, body) != nil {
@@ -322,11 +322,11 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		case <-ctx.Done():
 			return
 		case <-s.subs.ShuttingDown():
-			writeTerminal(w, fl, EventShutdown, lastSent, CodeUnavailable,
+			WriteTerminal(w, fl, EventShutdown, lastSent, CodeUnavailable,
 				"server shutting down; resubscribe with Last-Event-ID to resume")
 			return
 		case <-s.baseCtx.Done():
-			writeTerminal(w, fl, EventShutdown, lastSent, CodeUnavailable,
+			WriteTerminal(w, fl, EventShutdown, lastSent, CodeUnavailable,
 				"server shutting down; resubscribe with Last-Event-ID to resume")
 			return
 		case <-hb.C:
@@ -356,7 +356,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 						return
 					case <-s.subs.ShuttingDown():
 						t.Stop()
-						writeTerminal(w, fl, EventShutdown, lastSent, CodeUnavailable,
+						WriteTerminal(w, fl, EventShutdown, lastSent, CodeUnavailable,
 							"server shutting down; resubscribe with Last-Event-ID to resume")
 						return
 					}
@@ -378,7 +378,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 				if v < 0 || v >= n {
 					ph.release()
 					s.subs.NoteDropped()
-					writeTerminal(w, fl, EventGone, lastSent, CodeBadRequest,
+					WriteTerminal(w, fl, EventGone, lastSent, CodeBadRequest,
 						fmt.Sprintf("vertex %d out of range [0,%d) after reload", v, n))
 					return
 				}
@@ -388,7 +388,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 			ph.release()
 			if err != nil {
 				s.subs.NoteDropped()
-				writeTerminal(w, fl, EventError, lastSent, CodeEngineError, "push failed: "+err.Error())
+				WriteTerminal(w, fl, EventError, lastSent, CodeEngineError, "push failed: "+err.Error())
 				return
 			}
 			if sub.WriteEvent(w, EventUpdate, gen, body) != nil {

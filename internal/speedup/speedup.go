@@ -7,10 +7,10 @@
 // probability estimate is then m̂(k) = ‖M_w[k] ∧ M'_w[k]‖₁ / N summed
 // over vertices (Eq. 16).
 //
-// Fidelity note (also recorded in DESIGN.md): filter vectors fix one
-// out-choice per (vertex, process), so a walk that revisits a vertex
-// repeats its earlier choice, whereas the Sampling algorithm re-rolls the
-// uniform choice on every visit. The two coincide whenever walks cannot
+// Fidelity note (also in the README's "Where this code departs from the
+// paper"): filter vectors fix one out-choice per (vertex, process), so a
+// walk that revisits a vertex repeats its earlier choice, whereas the
+// Sampling algorithm re-rolls the uniform choice on every visit. The two coincide whenever walks cannot
 // revisit a vertex within n steps (girth > n) and are statistically
 // indistinguishable on the sparse graphs of the evaluation; the ablation
 // benchmarks quantify the difference on loopy graphs. The paper also

@@ -104,22 +104,27 @@ type Algorithm = core.Algorithm
 // allocation-free, cache-aware rewrite of the Monte Carlo kernel (same
 // estimator and accuracy bounds as AlgSampling, different randomness
 // consumption, roughly 2x faster; see the README's "Kernel v2"
-// section).
+// section) — and AlgIndexed.
 const (
 	AlgBaseline   = core.AlgBaseline
 	AlgSampling   = core.AlgSampling
 	AlgTwoPhase   = core.AlgTwoPhase
 	AlgSRSP       = core.AlgSRSP
 	AlgSamplingV2 = core.AlgSamplingV2
+	// AlgIndexed is the source-only strategy over an Index (see the
+	// README's "Index serving"): only the entry points that take the
+	// index, Engine.SingleSourceIndexed* and
+	// Engine.AdaptiveSingleSourceIndexed*, serve it.
+	AlgIndexed = core.AlgIndexed
 )
 
-// Algorithms lists the strategies in canonical order.
+// Algorithms lists the strategies that need no index, in canonical order.
 func Algorithms() []Algorithm { return core.Algorithms() }
 
 // ParseAlgorithm maps a user-facing algorithm name ("baseline",
 // "sampling", "twophase"/"sr-ts", "srsp"/"sr-sp", "sampling_v2",
-// case-insensitive) to its Algorithm — the one parser shared by the CLI
-// and the serving plane.
+// "indexed", case-insensitive) to its Algorithm — the one parser
+// shared by the CLI and the serving plane.
 func ParseAlgorithm(s string) (Algorithm, error) { return core.ParseAlgorithm(s) }
 
 // PairResult is one outcome of a Batch computation.
