@@ -19,7 +19,7 @@ race:
 
 check: build
 	go vet ./...
-	gofmt -l .
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; fi
 	go test ./...
 
 bench-set:

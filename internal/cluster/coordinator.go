@@ -820,56 +820,63 @@ func (co *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics serves GET /metrics in Prometheus text exposition
-// format. The serving registry contributes per-shape query families
-// plus per-downstream-shard latency histograms; the fan-out client
-// contributes hedge/failover counters per shard. Unlike /v1/stats this
-// never probes downstream endpoints — a scrape must stay cheap and
-// local however unhealthy the fleet is.
+// format: the coordinator's snapshot, written as it is read, then the
+// Go runtime gauges. Unlike /v1/stats it never probes downstream
+// endpoints — a scrape must stay cheap and local however unhealthy the
+// fleet is.
 func (co *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	pw := obs.NewPromWriter(w)
+	co.snapshot(pw)
+	obs.WriteRuntimeMetrics(pw)
+}
 
-	co.metrics.WriteProm(pw)
-
-	pw.Header("usimrank_uptime_seconds", "gauge", "Seconds since the coordinator process started.")
-	pw.Float("usimrank_uptime_seconds", nil, time.Since(co.start).Seconds())
+// snapshot reads the coordinator's own metrics once for both views:
+// the line that reads a value declares its Prometheus family and
+// writes it when pw is non-nil, and the value fills the /v1/stats
+// field. The serving registry contributes per-shape query families
+// plus per-downstream-shard latency histograms; the fan-out client
+// contributes hedge/failover counters per shard. It sends nothing
+// downstream; Stats adds the endpoint health probe.
+func (co *Coordinator) snapshot(pw *obs.PromWriter) StatsResponse {
+	var out StatsResponse
+	out.Serving, out.Coalescing, out.Queries = co.metrics.Snapshot(pw, co.cfg.MaxInFlight)
+	out.UptimeSeconds = obs.Gauge(pw, "usimrank_uptime_seconds", "Seconds since the coordinator process started.", time.Since(co.start).Seconds())
 
 	st := co.state.Load()
-	pw.Header("usimrank_cluster_generation", "gauge", "Coordinator's view of the cluster graph generation.")
-	pw.Uint("usimrank_cluster_generation", nil, st.gen)
-	pw.Header("usimrank_cluster_shards", "gauge", "Configured shard count.")
-	pw.Int("usimrank_cluster_shards", nil, int64(co.shards.Shards()))
 	endpoints := 0
 	for _, eps := range co.cfg.Shards {
 		endpoints += len(eps)
 	}
-	pw.Header("usimrank_cluster_endpoints", "gauge", "Configured endpoint count across all shards.")
-	pw.Int("usimrank_cluster_endpoints", nil, int64(endpoints))
-	pw.Header("usimrank_graph_vertices", "gauge", "Vertex count of the cluster graph.")
-	pw.Int("usimrank_graph_vertices", nil, int64(st.vertices))
-	pw.Header("usimrank_graph_arcs", "gauge", "Arc count of the cluster graph.")
-	pw.Int("usimrank_graph_arcs", nil, int64(st.arcs))
-	pw.Header("usimrank_admin_ops_total", "counter", "Admin mutations applied across the fleet.")
-	pw.Uint("usimrank_admin_ops_total", nil, co.adminOps.Load())
+	out.Cluster = ClusterInfo{
+		Generation: obs.Gauge(pw, "usimrank_cluster_generation", "Coordinator's view of the cluster graph generation.", st.gen),
+		Shards:     obs.Gauge(pw, "usimrank_cluster_shards", "Configured shard count.", co.shards.Shards()),
+		Endpoints:  obs.Gauge(pw, "usimrank_cluster_endpoints", "Configured endpoint count across all shards.", endpoints),
+		Vertices:   obs.Gauge(pw, "usimrank_graph_vertices", "Vertex count of the cluster graph.", st.vertices),
+		Arcs:       obs.Gauge(pw, "usimrank_graph_arcs", "Arc count of the cluster graph.", st.arcs),
+		AdminOps:   obs.Counter(pw, "usimrank_admin_ops_total", "Admin mutations applied across the fleet.", co.adminOps.Load()),
+	}
+	subs := server.SubscriptionStats(co.subs.Snapshot(pw))
+	out.Subscriptions = &subs
 
-	server.WriteSubscriptionMetrics(pw, co.subs)
-
-	pw.Header("usimrank_client_hedges_total", "counter", "Replica attempts launched by the hedge timer.")
 	counters := co.client.Counters()
+	f := pw.Family("usimrank_client_hedges_total", "counter", "Replica attempts launched by the hedge timer.")
 	for s, c := range counters {
-		pw.Uint("usimrank_client_hedges_total", []obs.Label{{Key: "shard", Value: shardName(s)}}, c.Hedges)
+		obs.Sample(f, shardLabel(s), c.Hedges)
 	}
-	pw.Header("usimrank_client_failovers_total", "counter", "Replica attempts launched because an earlier attempt failed.")
+	f = pw.Family("usimrank_client_failovers_total", "counter", "Replica attempts launched because an earlier attempt failed.")
 	for s, c := range counters {
-		pw.Uint("usimrank_client_failovers_total", []obs.Label{{Key: "shard", Value: shardName(s)}}, c.Failovers)
+		obs.Sample(f, shardLabel(s), c.Failovers)
 	}
-	pw.Header("usimrank_client_stale_rejected_total", "counter", "Definitive downstream answers rejected for a stale graph generation.")
+	f = pw.Family("usimrank_client_stale_rejected_total", "counter", "Definitive downstream answers rejected for a stale graph generation.")
 	for s, c := range counters {
-		pw.Uint("usimrank_client_stale_rejected_total", []obs.Label{{Key: "shard", Value: shardName(s)}}, c.StaleRejected)
+		obs.Sample(f, shardLabel(s), c.StaleRejected)
 	}
-
-	obs.WriteRuntimeMetrics(pw)
+	return out
 }
+
+// shardLabel is the {shard} label set of shard s's client counters.
+func shardLabel(s int) []obs.Label { return []obs.Label{{Key: "shard", Value: shardName(s)}} }
 
 // statsProbeTTL and statsProbeTimeout bound the stats path's health
 // probes: scrapes within the TTL share one probe result, and a hung
@@ -907,39 +914,23 @@ func (co *Coordinator) invalidateProbeCache() {
 	co.probeMu.Unlock()
 }
 
-// Stats assembles the coordinator snapshot, live-probing every
-// endpoint's health and generation (briefly cached; see cachedProbe).
+// Stats assembles the coordinator's /v1/stats snapshot: its own
+// metrics plus a live probe of every endpoint's health and generation
+// (briefly cached; see cachedProbe).
 func (co *Coordinator) Stats() StatsResponse {
-	st := co.state.Load()
+	out := co.snapshot(nil)
 	probed := co.cachedProbe()
-	health := make([]ShardHealth, len(probed))
-	endpoints := 0
+	out.Shards = make([]ShardHealth, len(probed))
 	for i, h := range probed {
-		health[i] = h.ShardHealth
-		endpoints++
+		out.Shards[i] = h.ShardHealth
 	}
-	sort.Slice(health, func(i, j int) bool {
-		if health[i].Shard != health[j].Shard {
-			return health[i].Shard < health[j].Shard
+	sort.Slice(out.Shards, func(i, j int) bool {
+		if out.Shards[i].Shard != out.Shards[j].Shard {
+			return out.Shards[i].Shard < out.Shards[j].Shard
 		}
-		return health[i].URL < health[j].URL
+		return out.Shards[i].URL < out.Shards[j].URL
 	})
-	return StatsResponse{
-		UptimeSeconds: time.Since(co.start).Seconds(),
-		Cluster: ClusterInfo{
-			Shards:     co.shards.Shards(),
-			Endpoints:  endpoints,
-			Generation: st.gen,
-			Vertices:   st.vertices,
-			Arcs:       st.arcs,
-			AdminOps:   co.adminOps.Load(),
-		},
-		Shards:        health,
-		Serving:       co.metrics.ServingStats(co.cfg.MaxInFlight),
-		Coalescing:    co.metrics.CoalescingStats(),
-		Queries:       co.metrics.QueryStats(),
-		Subscriptions: server.SubscriptionStatsFrom(co.subs),
-	}
+	return out
 }
 
 // ---- transactional admin fan-out ---------------------------------------
@@ -1209,8 +1200,7 @@ func (co *Coordinator) logLoop() {
 			return
 		case <-t.C:
 			st := co.state.Load()
-			cs := co.metrics.CoalescingStats()
-			sv := co.metrics.ServingStats(co.cfg.MaxInFlight)
+			sv, cs, _ := co.metrics.Snapshot(nil, co.cfg.MaxInFlight)
 			co.cfg.Logger.Printf("stats: gen=%d shards=%d in_flight=%d coalesce_rate=%.2f rejected=%d deadline=%d",
 				st.gen, co.shards.Shards(), sv.InFlight, cs.HitRate, sv.AdmissionRejected, sv.DeadlineExceeded)
 		}

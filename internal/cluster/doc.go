@@ -31,6 +31,16 @@
 // Checks that need the graph (vertex ranges, index presence, duplicate
 // sources) stay with the owning shard, whose 400 is relayed verbatim.
 //
+// # Metrics
+//
+// The coordinator's /v1/stats and /metrics share one snapshot
+// (Coordinator.snapshot), declared line by line as on a node (see the
+// server package's Metrics section). The snapshot reads only local
+// state and never probes the shards, so a /metrics scrape stays cheap
+// however unhealthy the fleet is. /v1/stats adds the endpoint health
+// probe on top (cachedProbe), and TestCoordinatorMetricsExposition
+// pins that a scrape sends no request downstream.
+//
 // # The shard-map contract
 //
 // ShardMap.Of(v) = splitmix64(v) mod shards. The function is

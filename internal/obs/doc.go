@@ -40,6 +40,14 @@
 //
 // PromWriter hand-rolls the Prometheus text format (0.0.4): HELP/TYPE
 // headers, escaped label values, exact integer rendering for counters
-// that exceed 2^53. WriteRuntimeMetrics adds the standard Go runtime
-// gauges. The server and coordinator each mount it at GET /metrics.
+// that exceed 2^53. Counter and Gauge declare a one-sample family on
+// the line that reads its value, and Family plus Sample (or
+// Family.Histogram) a labeled one: they write the family when given a
+// writer and return the value either way, so one snapshot function
+// fills /v1/stats (nil writer) and writes /metrics. The exposition
+// order is the order of the reads; Go evaluates a composite literal's
+// fields left to right, so a struct literal of declarations writes in
+// the order it lists them. WriteRuntimeMetrics adds the standard Go
+// runtime gauges. The server and coordinator each mount it at GET
+// /metrics.
 package obs

@@ -34,59 +34,48 @@ func NewPromWriter(w io.Writer) *PromWriter {
 // Err returns the first write error, if any.
 func (p *PromWriter) Err() error { return p.err }
 
-// Header emits the HELP and TYPE comment lines for a metric family.
-// typ is one of "counter", "gauge", "histogram".
-func (p *PromWriter) Header(name, typ, help string) {
-	if p.err != nil {
-		return
+// Number is a sample value. Integers render exactly (floats lose
+// precision past 2^53, which cumulative walk counters can exceed);
+// float64 renders in shortest form, infinities as +Inf/-Inf per the
+// exposition format.
+type Number interface{ int | int64 | uint64 | float64 }
+
+// Family is a metric family declared on the snapshot line that reads
+// its values. Its samples go to the writer it was declared on; a
+// Family declared on a nil writer writes nothing, so one snapshot
+// function serves both the JSON view (nil writer) and the exposition.
+type Family struct {
+	p    *PromWriter
+	name string
+}
+
+// Family declares a metric family, writing its HELP and TYPE lines
+// when p is non-nil. typ is one of "counter", "gauge", "histogram".
+func (p *PromWriter) Family(name, typ, help string) Family {
+	if p != nil && p.err == nil {
+		b := p.buf[:0]
+		b = append(b, "# HELP "...)
+		b = append(b, name...)
+		b = append(b, ' ')
+		b = appendEscapedHelp(b, help)
+		b = append(b, "\n# TYPE "...)
+		b = append(b, name...)
+		b = append(b, ' ')
+		b = append(b, typ...)
+		b = append(b, '\n')
+		p.flush(b)
 	}
-	b := p.buf[:0]
-	b = append(b, "# HELP "...)
-	b = append(b, name...)
-	b = append(b, ' ')
-	b = appendEscapedHelp(b, help)
-	b = append(b, "\n# TYPE "...)
-	b = append(b, name...)
-	b = append(b, ' ')
-	b = append(b, typ...)
-	b = append(b, '\n')
-	p.flush(b)
+	return Family{p, name}
 }
 
-// Uint emits one sample line with an exact integer value (floats lose
-// precision past 2^53, which cumulative walk counters can exceed).
-func (p *PromWriter) Uint(name string, labels []Label, v uint64) {
-	p.sample(name, labels, func(b []byte) []byte { return strconv.AppendUint(b, v, 10) })
-}
-
-// Int emits one sample line with a signed integer value.
-func (p *PromWriter) Int(name string, labels []Label, v int64) {
-	p.sample(name, labels, func(b []byte) []byte { return strconv.AppendInt(b, v, 10) })
-}
-
-// Float emits one sample line with a float value; infinities render as
-// +Inf/-Inf per the exposition format.
-func (p *PromWriter) Float(name string, labels []Label, v float64) {
-	p.sample(name, labels, func(b []byte) []byte {
-		switch {
-		case math.IsInf(v, 1):
-			return append(b, "+Inf"...)
-		case math.IsInf(v, -1):
-			return append(b, "-Inf"...)
-		case math.IsNaN(v):
-			return append(b, "NaN"...)
-		default:
-			return strconv.AppendFloat(b, v, 'g', -1, 64)
-		}
-	})
-}
-
-func (p *PromWriter) sample(name string, labels []Label, appendVal func([]byte) []byte) {
-	if p.err != nil {
-		return
+// Sample writes one sample of f and returns v, so the line that reads
+// a value can both expose it and fill the JSON field that reports it.
+func Sample[T Number](f Family, labels []Label, v T) T {
+	if f.p == nil || f.p.err != nil {
+		return v
 	}
-	b := p.buf[:0]
-	b = append(b, name...)
+	b := f.p.buf[:0]
+	b = append(b, f.name...)
 	if len(labels) > 0 {
 		b = append(b, '{')
 		for i, l := range labels {
@@ -101,9 +90,58 @@ func (p *PromWriter) sample(name string, labels []Label, appendVal func([]byte) 
 		b = append(b, '}')
 	}
 	b = append(b, ' ')
-	b = appendVal(b)
+	switch x := any(v).(type) {
+	case int:
+		b = strconv.AppendInt(b, int64(x), 10)
+	case int64:
+		b = strconv.AppendInt(b, x, 10)
+	case uint64:
+		b = strconv.AppendUint(b, x, 10)
+	case float64:
+		switch {
+		case math.IsInf(x, 1):
+			b = append(b, "+Inf"...)
+		case math.IsInf(x, -1):
+			b = append(b, "-Inf"...)
+		case math.IsNaN(x):
+			b = append(b, "NaN"...)
+		default:
+			b = strconv.AppendFloat(b, x, 'g', -1, 64)
+		}
+	}
 	b = append(b, '\n')
-	p.flush(b)
+	f.p.flush(b)
+	return v
+}
+
+// Counter declares a one-sample counter family, writes it when p is
+// non-nil, and returns v.
+func Counter[T Number](p *PromWriter, name, help string, v T) T {
+	return Sample(p.Family(name, "counter", help), nil, v)
+}
+
+// Gauge declares a one-sample gauge family, writes it when p is
+// non-nil, and returns v.
+func Gauge[T Number](p *PromWriter, name, help string, v T) T {
+	return Sample(p.Family(name, "gauge", help), nil, v)
+}
+
+// Histogram writes one sample of histogram family f: the cumulative
+// count cum[i] at each upper bound le[i] as a _bucket series, then
+// _sum and _count.
+func (f Family) Histogram(labels []Label, le []string, cum []uint64, sum float64, count uint64) {
+	if f.p == nil {
+		return
+	}
+	bucket := Family{f.p, f.name + "_bucket"}
+	lbls := make([]Label, len(labels)+1)
+	copy(lbls, labels)
+	for i, c := range cum {
+		lbls[len(labels)] = Label{Key: "le", Value: le[i]}
+		Sample(bucket, lbls, c)
+	}
+	Sample(Family{f.p, f.name + "_sum"}, labels, sum)
+	Sample(Family{f.p, f.name + "_count"}, labels, count)
 }
 
 func (p *PromWriter) flush(b []byte) {
@@ -158,14 +196,9 @@ func appendEscapedHelp(b []byte, s string) []byte {
 func WriteRuntimeMetrics(p *PromWriter) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	p.Header("go_goroutines", "gauge", "Live goroutines.")
-	p.Int("go_goroutines", nil, int64(runtime.NumGoroutine()))
-	p.Header("go_heap_alloc_bytes", "gauge", "Bytes of allocated heap objects.")
-	p.Uint("go_heap_alloc_bytes", nil, ms.HeapAlloc)
-	p.Header("go_heap_sys_bytes", "gauge", "Bytes of heap obtained from the OS.")
-	p.Uint("go_heap_sys_bytes", nil, ms.HeapSys)
-	p.Header("go_gc_cycles_total", "counter", "Completed GC cycles.")
-	p.Uint("go_gc_cycles_total", nil, uint64(ms.NumGC))
-	p.Header("go_gc_pause_seconds_total", "counter", "Cumulative GC stop-the-world pause time.")
-	p.Float("go_gc_pause_seconds_total", nil, float64(ms.PauseTotalNs)/1e9)
+	Gauge(p, "go_goroutines", "Live goroutines.", runtime.NumGoroutine())
+	Gauge(p, "go_heap_alloc_bytes", "Bytes of allocated heap objects.", ms.HeapAlloc)
+	Gauge(p, "go_heap_sys_bytes", "Bytes of heap obtained from the OS.", ms.HeapSys)
+	Counter(p, "go_gc_cycles_total", "Completed GC cycles.", uint64(ms.NumGC))
+	Counter(p, "go_gc_pause_seconds_total", "Cumulative GC stop-the-world pause time.", float64(ms.PauseTotalNs)/1e9)
 }

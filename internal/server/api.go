@@ -304,7 +304,8 @@ type StatsResponse struct {
 	Subscriptions *SubscriptionStats `json:"subscriptions,omitempty"`
 }
 
-// SubscriptionStats covers the push-subscription plane.
+// SubscriptionStats covers the push-subscription plane. It is
+// converted from sub.Stats, so the two field lists stay identical.
 type SubscriptionStats struct {
 	// Active is the number of open subscription streams.
 	Active int64 `json:"active"`

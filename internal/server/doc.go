@@ -63,6 +63,22 @@
 //   - a push passes no request or response writer: it is neither
 //     recorded nor written, and gets its result back to encode.
 //
+// # Metrics
+//
+// GET /v1/stats and GET /metrics are two views of one snapshot
+// (Server.snapshot in prom.go). Each metric is declared on the
+// snapshot line that reads it: obs.Counter or obs.Gauge names the
+// Prometheus family, type and HELP, writes the family when the
+// snapshot is given a writer, and returns the value that fills the
+// /v1/stats field. Stats is the snapshot without a writer; /metrics is
+// the snapshot with one, then the Go runtime gauges. The shared
+// serving registry (MetricsRegistry.Snapshot) and the subscription
+// registry (sub.Registry.Snapshot) declare their families the same
+// way, and the cluster coordinator calls both. To add a metric, add
+// its line to the snapshot that reads it; the wire types in api.go
+// stay the only JSON declaration, and the exposition order is the
+// order in which the snapshot reads values.
+//
 // # Endpoints
 //
 // All query endpoints accept POST with a JSON body and return JSON.

@@ -105,19 +105,18 @@ var histLe = func() [histBuckets]string {
 	return out
 }()
 
-// writeHistogram renders one histogram as a Prometheus _bucket series
-// (cumulative counts, base-2 le bounds in seconds) plus _sum/_count.
-func writeHistogram(pw *obs.PromWriter, name string, labels []obs.Label, h *histogram) {
-	lbls := make([]obs.Label, len(labels)+1)
-	copy(lbls, labels)
-	var cum uint64
-	for i := 0; i < histBuckets; i++ {
-		cum += h.counts[i].Load()
-		lbls[len(labels)] = obs.Label{Key: "le", Value: histLe[i]}
-		pw.Uint(name+"_bucket", lbls, cum)
+// expose writes h as one sample of histogram family f (cumulative
+// counts at base-2 le bounds in seconds, then _sum and _count) and
+// returns its /v1/stats digest.
+func (h *histogram) expose(f obs.Family, labels []obs.Label) LatencySummary {
+	var cum [histBuckets]uint64
+	var c uint64
+	for i := range cum {
+		c += h.counts[i].Load()
+		cum[i] = c
 	}
-	pw.Float(name+"_sum", labels, float64(h.sumUs.Load())/1e6)
-	pw.Uint(name+"_count", labels, h.total.Load())
+	f.Histogram(labels, histLe[:], cum[:], float64(h.sumUs.Load())/1e6, h.total.Load())
+	return h.summary()
 }
 
 // queryMetrics is one (shape, algorithm) cell.
@@ -227,50 +226,6 @@ func (m *MetricsRegistry) recordCell(shape, alg string, d time.Duration, err err
 	return c
 }
 
-func (m *MetricsRegistry) ServingStats(maxInFlight int) ServingStats {
-	return ServingStats{
-		InFlight:           m.InFlight.Load(),
-		MaxInFlight:        maxInFlight,
-		AdmissionRejected:  m.AdmissionRejected.Load(),
-		DeadlineExceeded:   m.DeadlineExceeded.Load(),
-		ClientGone:         m.ClientGone.Load(),
-		AdaptiveQueries:    m.AdaptiveQueries.Load(),
-		PartialResults:     m.PartialResults.Load(),
-		AdaptiveRounds:     m.AdaptiveRounds.Load(),
-		AdaptiveEarlyStops: m.AdaptiveEarlyStops.Load(),
-	}
-}
-
-func (m *MetricsRegistry) CoalescingStats() CoalescingStats {
-	hits := m.coalesceHits.Load()
-	misses := m.coalesceMisses.Load()
-	per := make(map[string]uint64)
-	m.shapeMu.Lock()
-	for k, v := range m.shapeHits {
-		per[k] = v
-	}
-	m.shapeMu.Unlock()
-	rate := 0.0
-	if hits+misses > 0 {
-		rate = float64(hits) / float64(hits+misses)
-	}
-	return CoalescingStats{Hits: hits, Misses: misses, HitRate: rate, PerShape: per}
-}
-
-func (m *MetricsRegistry) QueryStats() map[string]QueryStats {
-	cells := *m.cells.Load()
-	out := make(map[string]QueryStats, len(cells))
-	for k, c := range cells {
-		out[k] = QueryStats{
-			Count:        c.count.Load(),
-			Errors:       c.errors.Load(),
-			CoalesceHits: c.coalesceHits.Load(),
-			LatencyMs:    c.latency.summary(),
-		}
-	}
-	return out
-}
-
 // isShardCellKey reports whether a cell key's first component is a
 // coordinator downstream shard name ("shard<N>").
 func isShardCellKey(first string) bool {
@@ -285,13 +240,16 @@ func isShardCellKey(first string) bool {
 	return true
 }
 
-// WriteProm renders the registry as Prometheus text exposition. Query
-// cells become the usimrank_queries/usimrank_query_* families labeled
-// {shape, alg}; cells recorded via RecordDownstream under a shard name
-// (the coordinator's per-shard accounting) become the usimrank_shard_*
-// families labeled {shard, shape}. Keys are emitted in sorted order so
-// scrapes are stable and diffable.
-func (m *MetricsRegistry) WriteProm(pw *obs.PromWriter) {
+// Snapshot reads the registry once for both views and returns its
+// /v1/stats sections. Each value is read on the line that declares its
+// Prometheus family, which writes the family when pw is non-nil. Query
+// cells become the usimrank_queries_total/usimrank_query_* families
+// labeled {shape, alg}; cells recorded via RecordDownstream under a
+// shard name (the coordinator's per-shard accounting) become the
+// usimrank_shard_* families labeled {shard, shape}. Keys are emitted in
+// sorted order so scrapes are stable and diffable. maxInFlight is the
+// plane's admission bound, reported as serving.max_in_flight.
+func (m *MetricsRegistry) Snapshot(pw *obs.PromWriter, maxInFlight int) (ServingStats, CoalescingStats, map[string]QueryStats) {
 	cells := *m.cells.Load()
 	keys := make([]string, 0, len(cells))
 	for k := range cells {
@@ -301,68 +259,83 @@ func (m *MetricsRegistry) WriteProm(pw *obs.PromWriter) {
 	type row struct {
 		labels []obs.Label
 		c      *queryMetrics
+		st     *QueryStats
 	}
+	stats := make([]QueryStats, len(keys))
 	var query, shard []row
-	for _, k := range keys {
+	for i, k := range keys {
 		first, second, _ := strings.Cut(k, "/")
 		if isShardCellKey(first) {
-			shard = append(shard, row{[]obs.Label{{Key: "shard", Value: first}, {Key: "shape", Value: second}}, cells[k]})
+			shard = append(shard, row{[]obs.Label{{Key: "shard", Value: first}, {Key: "shape", Value: second}}, cells[k], &stats[i]})
 		} else {
-			query = append(query, row{[]obs.Label{{Key: "shape", Value: first}, {Key: "alg", Value: second}}, cells[k]})
+			query = append(query, row{[]obs.Label{{Key: "shape", Value: first}, {Key: "alg", Value: second}}, cells[k], &stats[i]})
 		}
 	}
 
 	if len(query) > 0 {
-		pw.Header("usimrank_queries_total", "counter", "Completed queries by shape and algorithm.")
+		f := pw.Family("usimrank_queries_total", "counter", "Completed queries by shape and algorithm.")
 		for _, r := range query {
-			pw.Uint("usimrank_queries_total", r.labels, r.c.count.Load())
+			r.st.Count = obs.Sample(f, r.labels, r.c.count.Load())
 		}
-		pw.Header("usimrank_query_errors_total", "counter", "Queries that returned an error.")
+		f = pw.Family("usimrank_query_errors_total", "counter", "Queries that returned an error.")
 		for _, r := range query {
-			pw.Uint("usimrank_query_errors_total", r.labels, r.c.errors.Load())
+			r.st.Errors = obs.Sample(f, r.labels, r.c.errors.Load())
 		}
-		pw.Header("usimrank_query_coalesce_hits_total", "counter", "Queries served as coalesced followers.")
+		f = pw.Family("usimrank_query_coalesce_hits_total", "counter", "Queries served as coalesced followers.")
 		for _, r := range query {
-			pw.Uint("usimrank_query_coalesce_hits_total", r.labels, r.c.coalesceHits.Load())
+			r.st.CoalesceHits = obs.Sample(f, r.labels, r.c.coalesceHits.Load())
 		}
-		pw.Header("usimrank_query_latency_seconds", "histogram", "Query wall time (base-2 buckets from 50us).")
+		f = pw.Family("usimrank_query_latency_seconds", "histogram", "Query wall time (base-2 buckets from 50us).")
 		for _, r := range query {
-			writeHistogram(pw, "usimrank_query_latency_seconds", r.labels, &r.c.latency)
+			r.st.LatencyMs = r.c.latency.expose(f, r.labels)
 		}
 	}
+	// Downstream cells never coalesce (RecordDownstream), so their
+	// CoalesceHits stays zero.
 	if len(shard) > 0 {
-		pw.Header("usimrank_shard_requests_total", "counter", "Downstream shard sub-requests by shard and shape.")
+		f := pw.Family("usimrank_shard_requests_total", "counter", "Downstream shard sub-requests by shard and shape.")
 		for _, r := range shard {
-			pw.Uint("usimrank_shard_requests_total", r.labels, r.c.count.Load())
+			r.st.Count = obs.Sample(f, r.labels, r.c.count.Load())
 		}
-		pw.Header("usimrank_shard_request_errors_total", "counter", "Downstream shard sub-requests that failed.")
+		f = pw.Family("usimrank_shard_request_errors_total", "counter", "Downstream shard sub-requests that failed.")
 		for _, r := range shard {
-			pw.Uint("usimrank_shard_request_errors_total", r.labels, r.c.errors.Load())
+			r.st.Errors = obs.Sample(f, r.labels, r.c.errors.Load())
 		}
-		pw.Header("usimrank_shard_request_latency_seconds", "histogram", "Downstream shard sub-request wall time.")
+		f = pw.Family("usimrank_shard_request_latency_seconds", "histogram", "Downstream shard sub-request wall time.")
 		for _, r := range shard {
-			writeHistogram(pw, "usimrank_shard_request_latency_seconds", r.labels, &r.c.latency)
+			r.st.LatencyMs = r.c.latency.expose(f, r.labels)
 		}
+	}
+	queries := make(map[string]QueryStats, len(keys))
+	for i, k := range keys {
+		queries[k] = stats[i]
 	}
 
-	pw.Header("usimrank_in_flight", "gauge", "Requests currently admitted and executing.")
-	pw.Int("usimrank_in_flight", nil, m.InFlight.Load())
-	pw.Header("usimrank_admission_rejected_total", "counter", "Requests rejected by admission control (HTTP 429).")
-	pw.Uint("usimrank_admission_rejected_total", nil, m.AdmissionRejected.Load())
-	pw.Header("usimrank_deadline_exceeded_total", "counter", "Queries that exceeded their deadline.")
-	pw.Uint("usimrank_deadline_exceeded_total", nil, m.DeadlineExceeded.Load())
-	pw.Header("usimrank_client_gone_total", "counter", "Queries abandoned by a disconnected client (not server errors).")
-	pw.Uint("usimrank_client_gone_total", nil, m.ClientGone.Load())
-	pw.Header("usimrank_adaptive_queries_total", "counter", "Adaptive (eps-bearing) queries led.")
-	pw.Uint("usimrank_adaptive_queries_total", nil, m.AdaptiveQueries.Load())
-	pw.Header("usimrank_partial_results_total", "counter", "Adaptive queries answered best-effort under deadline pressure.")
-	pw.Uint("usimrank_partial_results_total", nil, m.PartialResults.Load())
-	pw.Header("usimrank_adaptive_rounds_total", "counter", "Sampling rounds committed by adaptive queries.")
-	pw.Uint("usimrank_adaptive_rounds_total", nil, m.AdaptiveRounds.Load())
-	pw.Header("usimrank_adaptive_early_stops_total", "counter", "Adaptive queries whose stopping rule fired (radius <= eps while sampling).")
-	pw.Uint("usimrank_adaptive_early_stops_total", nil, m.AdaptiveEarlyStops.Load())
-	pw.Header("usimrank_coalesce_hits_total", "counter", "Requests that joined an in-flight identical computation.")
-	pw.Uint("usimrank_coalesce_hits_total", nil, m.coalesceHits.Load())
-	pw.Header("usimrank_coalesce_misses_total", "counter", "Requests that led their computation.")
-	pw.Uint("usimrank_coalesce_misses_total", nil, m.coalesceMisses.Load())
+	// Go evaluates the literal's fields left to right: this is the
+	// exposition order.
+	serving := ServingStats{
+		InFlight:           obs.Gauge(pw, "usimrank_in_flight", "Requests currently admitted and executing.", m.InFlight.Load()),
+		AdmissionRejected:  obs.Counter(pw, "usimrank_admission_rejected_total", "Requests rejected by admission control (HTTP 429).", m.AdmissionRejected.Load()),
+		DeadlineExceeded:   obs.Counter(pw, "usimrank_deadline_exceeded_total", "Queries that exceeded their deadline.", m.DeadlineExceeded.Load()),
+		ClientGone:         obs.Counter(pw, "usimrank_client_gone_total", "Queries abandoned by a disconnected client (not server errors).", m.ClientGone.Load()),
+		AdaptiveQueries:    obs.Counter(pw, "usimrank_adaptive_queries_total", "Adaptive (eps-bearing) queries led.", m.AdaptiveQueries.Load()),
+		PartialResults:     obs.Counter(pw, "usimrank_partial_results_total", "Adaptive queries answered best-effort under deadline pressure.", m.PartialResults.Load()),
+		AdaptiveRounds:     obs.Counter(pw, "usimrank_adaptive_rounds_total", "Sampling rounds committed by adaptive queries.", m.AdaptiveRounds.Load()),
+		AdaptiveEarlyStops: obs.Counter(pw, "usimrank_adaptive_early_stops_total", "Adaptive queries whose stopping rule fired (radius <= eps while sampling).", m.AdaptiveEarlyStops.Load()),
+		MaxInFlight:        maxInFlight,
+	}
+	coalescing := CoalescingStats{
+		Hits:     obs.Counter(pw, "usimrank_coalesce_hits_total", "Requests that joined an in-flight identical computation.", m.coalesceHits.Load()),
+		Misses:   obs.Counter(pw, "usimrank_coalesce_misses_total", "Requests that led their computation.", m.coalesceMisses.Load()),
+		PerShape: make(map[string]uint64),
+	}
+	m.shapeMu.Lock()
+	for k, v := range m.shapeHits {
+		coalescing.PerShape[k] = v
+	}
+	m.shapeMu.Unlock()
+	if n := coalescing.Hits + coalescing.Misses; n > 0 {
+		coalescing.HitRate = float64(coalescing.Hits) / float64(n)
+	}
+	return serving, coalescing, queries
 }

@@ -70,7 +70,7 @@ func TestCellLockFreeHammer(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	stats := m.QueryStats()
+	_, _, stats := m.Snapshot(nil, 0)
 	if got := stats["score/srsp"].Count; got != goroutines*perG {
 		t.Fatalf("hot cell lost increments: %d of %d", got, goroutines*perG)
 	}
@@ -101,9 +101,9 @@ func TestRegistryWriteProm(t *testing.T) {
 	m.InFlight.Add(2)
 	var sb strings.Builder
 	pw := obs.NewPromWriter(&sb)
-	m.WriteProm(pw)
+	m.Snapshot(pw, 0)
 	if pw.Err() != nil {
-		t.Fatalf("WriteProm: %v", pw.Err())
+		t.Fatalf("Snapshot: %v", pw.Err())
 	}
 	out := sb.String()
 	for _, want := range []string{

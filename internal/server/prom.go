@@ -5,101 +5,82 @@ import (
 	"time"
 
 	"usimrank/internal/obs"
-	"usimrank/internal/sub"
 )
 
+// Stats assembles the /v1/stats snapshot (also used by the periodic
+// logger).
+func (s *Server) Stats() StatsResponse { return s.snapshot(nil) }
+
 // handleMetrics serves GET /metrics in Prometheus text exposition
-// format (hand-rolled, no client library — see internal/obs). The
-// scrape pins the resident engine handle for its duration so every
-// gauge in one exposition describes the same generation; counters are
-// lifetime server totals and survive hot-swaps.
+// format (hand-rolled, no client library — see internal/obs): the
+// snapshot Stats returns, written as it is read, then the Go runtime
+// gauges.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	h := s.engine()
-	defer h.release()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	pw := obs.NewPromWriter(w)
-
-	// Per-query and per-downstream serving metrics (counters + latency
-	// histograms), then the serving-plane globals.
-	s.metrics.WriteProm(pw)
-
-	pw.Header("usimrank_uptime_seconds", "gauge", "Seconds since the server process started.")
-	pw.Float("usimrank_uptime_seconds", nil, time.Since(s.start).Seconds())
-
-	pw.Header("usimrank_graph_generation", "gauge", "Generation of the resident graph (bumps on reload and incremental update).")
-	pw.Uint("usimrank_graph_generation", nil, h.gen)
-	pw.Header("usimrank_graph_vertices", "gauge", "Vertex count of the resident graph.")
-	pw.Int("usimrank_graph_vertices", nil, int64(h.graph.NumVertices()))
-	pw.Header("usimrank_graph_arcs", "gauge", "Arc count of the resident graph.")
-	pw.Int("usimrank_graph_arcs", nil, int64(h.graph.NumArcs()))
-	pw.Header("usimrank_graph_reloads_total", "counter", "Completed hot reloads.")
-	pw.Uint("usimrank_graph_reloads_total", nil, s.reloads.Load())
-	pw.Header("usimrank_graph_updates_total", "counter", "Completed incremental update batches.")
-	pw.Uint("usimrank_graph_updates_total", nil, s.updates.Load())
-	pw.Header("usimrank_graph_arcs_updated_total", "counter", "Arc mutations applied by incremental updates.")
-	pw.Uint("usimrank_graph_arcs_updated_total", nil, s.arcsUpdated.Load())
-
-	WriteSubscriptionMetrics(pw, s.subs)
-
-	rcLen, rcEvict := h.eng.RowCacheStats()
-	rcHits, rcMisses, _ := h.eng.RowCacheCounters()
-	pw.Header("usimrank_row_cache_entries", "gauge", "Exact-row LRU cache occupancy.")
-	pw.Int("usimrank_row_cache_entries", nil, int64(rcLen))
-	pw.Header("usimrank_row_cache_capacity", "gauge", "Exact-row LRU cache capacity.")
-	pw.Int("usimrank_row_cache_capacity", nil, int64(h.eng.Options().RowCacheSize))
-	pw.Header("usimrank_row_cache_hits_total", "counter", "Exact-row cache lookup hits.")
-	pw.Uint("usimrank_row_cache_hits_total", nil, rcHits)
-	pw.Header("usimrank_row_cache_misses_total", "counter", "Exact-row cache lookup misses.")
-	pw.Uint("usimrank_row_cache_misses_total", nil, rcMisses)
-	pw.Header("usimrank_row_cache_evictions_total", "counter", "Exact-row cache evictions.")
-	pw.Uint("usimrank_row_cache_evictions_total", nil, rcEvict)
-
-	ks := h.eng.KernelStats()
-	pw.Header("usimrank_kernel_walks_total", "counter", "Random walks sampled across all Monte Carlo kernels.")
-	pw.Uint("usimrank_kernel_walks_total", nil, ks.Walks)
-	pw.Header("usimrank_kernel_arcs_instantiated_total", "counter", "Possible-world arc instantiations recorded by the v2 kernel.")
-	pw.Uint("usimrank_kernel_arcs_instantiated_total", nil, ks.ArcsInstantiated)
-	pw.Header("usimrank_kernel_arena_high_water_bytes", "gauge", "Largest v2 walk-arena footprint observed.")
-	pw.Uint("usimrank_kernel_arena_high_water_bytes", nil, ks.ArenaHighWaterBytes)
-	pw.Header("usimrank_kernel_scratch_gets_total", "counter", "v2 scratch buffer pool checkouts.")
-	pw.Uint("usimrank_kernel_scratch_gets_total", nil, ks.ScratchGets)
-	pw.Header("usimrank_kernel_scratch_misses_total", "counter", "v2 scratch checkouts that had to build a fresh buffer.")
-	pw.Uint("usimrank_kernel_scratch_misses_total", nil, ks.ScratchMisses)
-
-	if h.idx != nil {
-		pw.Header("usimrank_index_queries_total", "counter", "Queries answered through the reverse-walk index.")
-		pw.Uint("usimrank_index_queries_total", nil, s.indexQueries.Load())
-		pw.Header("usimrank_index_rows_probed_total", "counter", "Index occupancy rows probed.")
-		pw.Uint("usimrank_index_rows_probed_total", nil, s.indexRowsProbed.Load())
-		pw.Header("usimrank_index_residual_walks_total", "counter", "Source-side residual walks sampled for indexed queries.")
-		pw.Uint("usimrank_index_residual_walks_total", nil, s.indexResidualWalks.Load())
-		pw.Header("usimrank_index_rows_patched_total", "counter", "Index rows recomputed by incremental update patching.")
-		pw.Uint("usimrank_index_rows_patched_total", nil, s.indexRowsPatched.Load())
-		pw.Header("usimrank_index_generation", "gauge", "Graph generation the resident index was built at.")
-		pw.Uint("usimrank_index_generation", nil, h.idx.Generation())
-		pw.Header("usimrank_index_depth", "gauge", "Deepest step the resident index covers.")
-		pw.Int("usimrank_index_depth", nil, int64(h.idx.Depth()))
-		pw.Header("usimrank_index_samples", "gauge", "Walk count per vertex the resident index was built from.")
-		pw.Int("usimrank_index_samples", nil, int64(h.idx.Samples()))
-	}
-
+	s.snapshot(pw)
 	obs.WriteRuntimeMetrics(pw)
 }
 
-// WriteSubscriptionMetrics renders a subscription registry's families:
-// a node's /v1/subscribe streams, or a coordinator's relays of them.
-// Both /metrics handlers call it, so the two planes describe the
-// families identically.
-func WriteSubscriptionMetrics(pw *obs.PromWriter, r *sub.Registry) {
-	ss := r.Snapshot()
-	pw.Header("usimrank_subscriptions_active", "gauge", "Open /v1/subscribe streams.")
-	pw.Int("usimrank_subscriptions_active", nil, ss.Active)
-	pw.Header("usimrank_sub_wakeups_total", "counter", "Subscriptions woken by admin mutations (clean-to-dirty transitions).")
-	pw.Uint("usimrank_sub_wakeups_total", nil, ss.Wakeups)
-	pw.Header("usimrank_sub_pushes_total", "counter", "Update events delivered to subscribers (snapshots excluded).")
-	pw.Uint("usimrank_sub_pushes_total", nil, ss.Pushes)
-	pw.Header("usimrank_sub_coalesced_total", "counter", "Subscription wake-ups folded into an already-pending push.")
-	pw.Uint("usimrank_sub_coalesced_total", nil, ss.Coalesced)
-	pw.Header("usimrank_sub_dropped_total", "counter", "Subscription streams ended by a failed push, or by a terminal error or gone event.")
-	pw.Uint("usimrank_sub_dropped_total", nil, ss.Dropped)
+// snapshot reads every node metric once for both views. The line that
+// reads a value declares its Prometheus family and writes it when pw
+// is non-nil; the value fills the /v1/stats field. It pins the resident
+// engine handle once, so every gauge describes the same generation;
+// counters are lifetime server totals and survive hot-swaps.
+func (s *Server) snapshot(pw *obs.PromWriter) StatsResponse {
+	h := s.engine()
+	defer h.release()
+	var st StatsResponse
+
+	// Per-query and per-downstream serving metrics (counters + latency
+	// histograms), then the serving-plane globals.
+	st.Serving, st.Coalescing, st.Queries = s.metrics.Snapshot(pw, s.cfg.MaxInFlight)
+	st.UptimeSeconds = obs.Gauge(pw, "usimrank_uptime_seconds", "Seconds since the server process started.", time.Since(s.start).Seconds())
+	st.Graph = GraphStats{
+		Generation:  obs.Gauge(pw, "usimrank_graph_generation", "Generation of the resident graph (bumps on reload and incremental update).", h.gen),
+		Vertices:    obs.Gauge(pw, "usimrank_graph_vertices", "Vertex count of the resident graph.", h.graph.NumVertices()),
+		Arcs:        obs.Gauge(pw, "usimrank_graph_arcs", "Arc count of the resident graph.", h.graph.NumArcs()),
+		Reloads:     obs.Counter(pw, "usimrank_graph_reloads_total", "Completed hot reloads.", s.reloads.Load()),
+		Updates:     obs.Counter(pw, "usimrank_graph_updates_total", "Completed incremental update batches.", s.updates.Load()),
+		ArcsUpdated: obs.Counter(pw, "usimrank_graph_arcs_updated_total", "Arc mutations applied by incremental updates.", s.arcsUpdated.Load()),
+		Source:      h.source,
+	}
+	subs := SubscriptionStats(s.subs.Snapshot(pw))
+	st.Subscriptions = &subs
+
+	opt := h.eng.Options()
+	rcLen, rcEvict := h.eng.RowCacheStats()
+	rcHits, rcMisses, _ := h.eng.RowCacheCounters()
+	st.Engine = EngineStats{
+		RowCacheLen: obs.Gauge(pw, "usimrank_row_cache_entries", "Exact-row LRU cache occupancy.", rcLen),
+		RowCacheCap: obs.Gauge(pw, "usimrank_row_cache_capacity", "Exact-row LRU cache capacity.", opt.RowCacheSize),
+		Parallelism: opt.Parallelism,
+	}
+	obs.Counter(pw, "usimrank_row_cache_hits_total", "Exact-row cache lookup hits.", rcHits)
+	obs.Counter(pw, "usimrank_row_cache_misses_total", "Exact-row cache lookup misses.", rcMisses)
+	st.Engine.RowCacheEvictions = obs.Counter(pw, "usimrank_row_cache_evictions_total", "Exact-row cache evictions.", rcEvict)
+
+	ks := h.eng.KernelStats()
+	obs.Counter(pw, "usimrank_kernel_walks_total", "Random walks sampled across all Monte Carlo kernels.", ks.Walks)
+	obs.Counter(pw, "usimrank_kernel_arcs_instantiated_total", "Possible-world arc instantiations recorded by the v2 kernel.", ks.ArcsInstantiated)
+	obs.Gauge(pw, "usimrank_kernel_arena_high_water_bytes", "Largest v2 walk-arena footprint observed.", ks.ArenaHighWaterBytes)
+	obs.Counter(pw, "usimrank_kernel_scratch_gets_total", "v2 scratch buffer pool checkouts.", ks.ScratchGets)
+	obs.Counter(pw, "usimrank_kernel_scratch_misses_total", "v2 scratch checkouts that had to build a fresh buffer.", ks.ScratchMisses)
+
+	if h.idx != nil {
+		st.Index = &IndexStats{
+			Queries:       obs.Counter(pw, "usimrank_index_queries_total", "Queries answered through the reverse-walk index.", s.indexQueries.Load()),
+			RowsProbed:    obs.Counter(pw, "usimrank_index_rows_probed_total", "Index occupancy rows probed.", s.indexRowsProbed.Load()),
+			ResidualWalks: obs.Counter(pw, "usimrank_index_residual_walks_total", "Source-side residual walks sampled for indexed queries.", s.indexResidualWalks.Load()),
+			RowsPatched:   obs.Counter(pw, "usimrank_index_rows_patched_total", "Index rows recomputed by incremental update patching.", s.indexRowsPatched.Load()),
+			Generation:    obs.Gauge(pw, "usimrank_index_generation", "Graph generation the resident index was built at.", h.idx.Generation()),
+			Depth:         obs.Gauge(pw, "usimrank_index_depth", "Deepest step the resident index covers.", h.idx.Depth()),
+			Samples:       obs.Gauge(pw, "usimrank_index_samples", "Walk count per vertex the resident index was built from.", h.idx.Samples()),
+			Vertices:      h.idx.NumVertices(),
+		}
+		if n := st.Index.RowsProbed + st.Index.ResidualWalks; n > 0 {
+			st.Index.ProbeRatio = float64(st.Index.RowsProbed) / float64(n)
+		}
+	}
+	return st
 }

@@ -336,57 +336,6 @@ func (s *Server) WarmFilters() {
 	h.eng.WarmFilters()
 }
 
-// Stats assembles the /v1/stats snapshot (also used by the periodic
-// logger).
-func (s *Server) Stats() StatsResponse {
-	h := s.engine()
-	defer h.release()
-	rcLen, rcEvict := h.eng.RowCacheStats()
-	opt := h.eng.Options()
-	var idxStats *IndexStats
-	if h.idx != nil {
-		probed, residual := s.indexRowsProbed.Load(), s.indexResidualWalks.Load()
-		ratio := 0.0
-		if probed+residual > 0 {
-			ratio = float64(probed) / float64(probed+residual)
-		}
-		idxStats = &IndexStats{
-			Generation:    h.idx.Generation(),
-			Vertices:      h.idx.NumVertices(),
-			Depth:         h.idx.Depth(),
-			Samples:       h.idx.Samples(),
-			Queries:       s.indexQueries.Load(),
-			RowsProbed:    probed,
-			ResidualWalks: residual,
-			ProbeRatio:    ratio,
-			RowsPatched:   s.indexRowsPatched.Load(),
-		}
-	}
-	return StatsResponse{
-		UptimeSeconds: time.Since(s.start).Seconds(),
-		Graph: GraphStats{
-			Source:      h.source,
-			Vertices:    h.graph.NumVertices(),
-			Arcs:        h.graph.NumArcs(),
-			Generation:  h.gen,
-			Reloads:     s.reloads.Load(),
-			Updates:     s.updates.Load(),
-			ArcsUpdated: s.arcsUpdated.Load(),
-		},
-		Engine: EngineStats{
-			Parallelism:       opt.Parallelism,
-			RowCacheLen:       rcLen,
-			RowCacheCap:       opt.RowCacheSize,
-			RowCacheEvictions: rcEvict,
-		},
-		Serving:       s.metrics.ServingStats(s.cfg.MaxInFlight),
-		Coalescing:    s.metrics.CoalescingStats(),
-		Queries:       s.metrics.QueryStats(),
-		Index:         idxStats,
-		Subscriptions: SubscriptionStatsFrom(s.subs),
-	}
-}
-
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	var req ReloadRequest
 	if !s.decodeBody(w, r, &req) {

@@ -85,20 +85,6 @@ func (s *Server) DrainSubscriptions() bool {
 	return s.subs.AwaitIdle(s.cfg.DrainTimeout)
 }
 
-// SubscriptionStatsFrom converts a registry snapshot into the stats
-// wire shape (shared with the cluster coordinator's relay registry).
-func SubscriptionStatsFrom(r *sub.Registry) *SubscriptionStats {
-	st := r.Snapshot()
-	return &SubscriptionStats{
-		Active:    st.Active,
-		Lookups:   st.Lookups,
-		Wakeups:   st.Wakeups,
-		Coalesced: st.Coalesced,
-		Pushes:    st.Pushes,
-		Dropped:   st.Dropped,
-	}
-}
-
 // watched is the vertex set whose touched-source membership forces a
 // recompute. The invalidation BFS reports per-SIDE sources: an answer
 // is bit-identical across an update only when every constituent

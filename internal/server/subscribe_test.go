@@ -236,7 +236,7 @@ func TestShutdownBroadcastsToSubscribers(t *testing.T) {
 			t.Fatalf("subscriber's last event %q, want shutdown", o.terminal)
 		}
 	}
-	if st := s.subs.Snapshot(); st.Active != 0 {
+	if st := s.subs.Snapshot(nil); st.Active != 0 {
 		t.Fatalf("%d subscriptions still registered after drain", st.Active)
 	}
 }
@@ -350,11 +350,11 @@ func TestNoopUpdateWakesNoSubscriptions(t *testing.T) {
 		t.Fatalf("first event %q, want snapshot", fr.Name())
 	}
 
-	before := s.subs.Snapshot()
+	before := s.subs.Snapshot(nil)
 	if _, err := s.ApplyUpdates([]usimrank.ArcUpdate{{Op: usimrank.OpReweight, U: a, V: b, P: p}}); err != nil {
 		t.Fatal(err)
 	}
-	after := s.subs.Snapshot()
+	after := s.subs.Snapshot(nil)
 	if after.Wakeups != before.Wakeups || after.Lookups != before.Lookups {
 		t.Fatalf("no-op batch woke subscriptions: wakeups %d->%d, lookups %d->%d",
 			before.Wakeups, after.Wakeups, before.Lookups, after.Lookups)
@@ -419,11 +419,11 @@ func TestWakeSetMatchesBoundedDistances(t *testing.T) {
 		t.Fatalf("degenerate ground truth (%d/%d touched); pick a different arc", expectedCount, n)
 	}
 
-	before := s.subs.Snapshot()
+	before := s.subs.Snapshot(nil)
 	if _, err := s.ApplyUpdates(ups); err != nil {
 		t.Fatal(err)
 	}
-	after := s.subs.Snapshot()
+	after := s.subs.Snapshot(nil)
 
 	for v := 0; v < n; v++ {
 		woken := subs[v].Pending() != 0
@@ -542,7 +542,7 @@ func TestStalenessCoalescesBurst(t *testing.T) {
 	if !bytes.Equal(fr.Data(), want) {
 		t.Fatalf("coalesced push differs from cold query:\npush: %s\ncold: %s", fr.Data(), want)
 	}
-	st := s.subs.Snapshot()
+	st := s.subs.Snapshot(nil)
 	if st.Coalesced < 1 {
 		t.Fatalf("coalesced counter %d, want >= 1 (second generation folded into the pending push)", st.Coalesced)
 	}
@@ -581,7 +581,7 @@ func TestReloadShrinkingGraphSendsGone(t *testing.T) {
 	if _, err := sub.ReadFrame(br); err == nil {
 		t.Fatal("stream still open after the terminal gone event")
 	}
-	if st := s.subs.Snapshot(); st.Dropped < 1 {
+	if st := s.subs.Snapshot(nil); st.Dropped < 1 {
 		t.Fatalf("dropped counter %d, want >= 1", st.Dropped)
 	}
 }

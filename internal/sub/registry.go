@@ -4,6 +4,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"usimrank/internal/obs"
 )
 
 // AnyVertex is a sentinel watch entry: a subscription whose watch set
@@ -79,7 +81,9 @@ func (s *Subscription) offer(gen uint64) (woken, coalesced bool) {
 	}
 }
 
-// Stats is a snapshot of the registry's counters.
+// Stats is a snapshot of the registry's counters. The server's
+// SubscriptionStats wire type converts from it, so the two field lists
+// stay identical.
 type Stats struct {
 	// Active is the number of registered subscriptions.
 	Active int64
@@ -316,14 +320,17 @@ func (r *Registry) AwaitIdle(timeout time.Duration) bool {
 func (r *Registry) NotePush()    { r.pushes.Add(1) }
 func (r *Registry) NoteDropped() { r.dropped.Add(1) }
 
-// Snapshot returns the current counter values.
-func (r *Registry) Snapshot() Stats {
+// Snapshot returns the current counter values. Each line that reads a
+// counter declares its Prometheus family and writes it when pw is
+// non-nil: a node's /v1/subscribe streams and a coordinator's relays
+// of them expose the same families from here.
+func (r *Registry) Snapshot(pw *obs.PromWriter) Stats {
 	return Stats{
-		Active:    r.active.Load(),
+		Active:    obs.Gauge(pw, "usimrank_subscriptions_active", "Open /v1/subscribe streams.", r.active.Load()),
+		Wakeups:   obs.Counter(pw, "usimrank_sub_wakeups_total", "Subscriptions woken by admin mutations (clean-to-dirty transitions).", r.wakeups.Load()),
+		Pushes:    obs.Counter(pw, "usimrank_sub_pushes_total", "Update events delivered to subscribers (snapshots excluded).", r.pushes.Load()),
+		Coalesced: obs.Counter(pw, "usimrank_sub_coalesced_total", "Subscription wake-ups folded into an already-pending push.", r.coalesced.Load()),
+		Dropped:   obs.Counter(pw, "usimrank_sub_dropped_total", "Subscription streams ended by a failed push, or by a terminal error or gone event.", r.dropped.Load()),
 		Lookups:   r.lookups.Load(),
-		Wakeups:   r.wakeups.Load(),
-		Coalesced: r.coalesced.Load(),
-		Pushes:    r.pushes.Load(),
-		Dropped:   r.dropped.Load(),
 	}
 }

@@ -47,12 +47,12 @@ func TestWakeCostIsPerTouchedVertex(t *testing.T) {
 	for v := int32(0); v < 1000; v++ {
 		r.Subscribe([]int32{v}, 0)
 	}
-	before := r.Snapshot().Lookups
+	before := r.Snapshot(nil).Lookups
 	touched := []int32{5, 9, 1003} // 1003 watches nobody
 	if woken := r.Wake(touched, 2); woken != 2 {
 		t.Fatalf("woke %d, want 2", woken)
 	}
-	if got := r.Snapshot().Lookups - before; got != uint64(len(touched)) {
+	if got := r.Snapshot(nil).Lookups - before; got != uint64(len(touched)) {
 		t.Fatalf("wake performed %d lookups for %d touched vertices", got, len(touched))
 	}
 }
@@ -72,7 +72,7 @@ func TestWakeCoalescesGenerations(t *testing.T) {
 	if woken := r.Wake([]int32{4}, 4); woken != 0 {
 		t.Fatal("third wake must coalesce, not re-signal")
 	}
-	st := r.Snapshot()
+	st := r.Snapshot(nil)
 	if st.Wakeups != 1 || st.Coalesced != 2 {
 		t.Fatalf("wakeups=%d coalesced=%d, want 1 and 2", st.Wakeups, st.Coalesced)
 	}
@@ -98,7 +98,7 @@ func TestScoreShapeWakesOnceForBothEndpoints(t *testing.T) {
 	if woken := r.Wake([]int32{1, 2}, 9); woken != 1 {
 		t.Fatalf("woke %d, want exactly 1", woken)
 	}
-	st := r.Snapshot()
+	st := r.Snapshot(nil)
 	if st.Wakeups != 1 || st.Coalesced != 0 {
 		t.Fatalf("wakeups=%d coalesced=%d, want 1 and 0", st.Wakeups, st.Coalesced)
 	}
@@ -119,7 +119,7 @@ func TestWakeAllAndUnsubscribe(t *testing.T) {
 	if b.Pending() != 3 {
 		t.Fatal("live subscription missed WakeAll")
 	}
-	if got := r.Snapshot().Active; got != 1 {
+	if got := r.Snapshot(nil).Active; got != 1 {
 		t.Fatalf("active=%d, want 1", got)
 	}
 }
@@ -192,7 +192,7 @@ func TestConcurrentWakeAndChurn(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 	close(stop)
 	wg.Wait()
-	if got := r.Snapshot().Active; got != 0 {
+	if got := r.Snapshot(nil).Active; got != 0 {
 		t.Fatalf("active=%d after churn, want 0", got)
 	}
 }
@@ -269,7 +269,7 @@ func TestSubscriptionAccessors(t *testing.T) {
 		t.Fatalf("Staleness() = %v", su.Staleness())
 	}
 	r.NoteDropped()
-	if st := r.Snapshot(); st.Dropped != 1 {
+	if st := r.Snapshot(nil); st.Dropped != 1 {
 		t.Fatalf("Dropped = %d, want 1", st.Dropped)
 	}
 }
@@ -309,7 +309,7 @@ func TestWildcardSubscription(t *testing.T) {
 	if got := wild.Claim(); got != 3 {
 		t.Fatalf("claimed generation %d, want 3", got)
 	}
-	ss := r.Snapshot()
+	ss := r.Snapshot(nil)
 	if ss.Wakeups != 1 || ss.Coalesced != 1 {
 		t.Fatalf("wakeups=%d coalesced=%d, want 1 and 1", ss.Wakeups, ss.Coalesced)
 	}
