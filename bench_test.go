@@ -566,3 +566,42 @@ func BenchmarkIndexPatch(b *testing.B) {
 	reportWalkSteps(b, e, patched)
 	b.ReportMetric(float64(patched)/float64(g.NumVertices()), "patched_frac")
 }
+
+// BenchmarkTwoPhaseSource measures SR-TS's single-source kernel the way
+// a write-push subscription recomputes it: on write-push's graph family
+// (the BenchmarkApplyUpdates graph), the highest-degree vertex against
+// 32 fixed candidates at N = 1000 and one worker, every exact row
+// cached, so the time is the sampled tail. ns/walk-step counts N walks
+// of Steps steps for the source and for each candidate.
+func BenchmarkTwoPhaseSource(b *testing.B) {
+	g := gen.CoAuthorship(10_000, 2, rng.New(5))
+	e, err := usimrank.New(g, usimrank.Options{N: 1000, Seed: 1, L: 1, Parallelism: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	u := 0
+	for v := 1; v < g.NumVertices(); v++ {
+		if g.OutDegree(v) > g.OutDegree(u) {
+			u = v
+		}
+	}
+	cands := make([]int, 32)
+	for i := range cands {
+		cands[i] = i * (g.NumVertices() / len(cands))
+	}
+	if err := e.WarmRowsFor(usimrank.AlgTwoPhase, append([]int{u}, cands...)); err != nil {
+		b.Fatal(err)
+	}
+	out := make([]float64, len(cands))
+	if err := e.SingleSourceAgainstInto(usimrank.AlgTwoPhase, u, cands, out); err != nil { // size the scratch pool
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := e.SingleSourceAgainstInto(usimrank.AlgTwoPhase, u, cands, out); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportWalkSteps(b, e, 1+len(cands))
+}

@@ -490,7 +490,9 @@ func (e *Engine) samplingWith(p *parallel.Pool, u, v int) (float64, error) {
 }
 
 // TwoPhase computes ŝ(n)(u,v) with the SR-TS algorithm (Sec. VI-C):
-// exact meeting probabilities for k ≤ l, sampled for l < k ≤ n.
+// exact meeting probabilities for k ≤ l, sampled for l < k ≤ n. The
+// sampled tail is MeetingSampled's estimate bit for bit, drawn on
+// pooled grids (meetingGridWith).
 func (e *Engine) TwoPhase(u, v int) (float64, error) {
 	return e.twoPhaseWith(e.pool, u, v)
 }
@@ -504,11 +506,9 @@ func (e *Engine) twoPhaseWith(p *parallel.Pool, u, v int) (float64, error) {
 	if e.opt.L >= e.opt.Steps {
 		return Combine(exact, e.opt.C, e.opt.Steps), nil
 	}
-	sampled, err := e.meetingSampledWith(p, u, v)
-	if err != nil {
-		return 0, err
-	}
-	return CombineTwoPhase(exact, sampled, e.opt.C, e.opt.L, e.opt.Steps), nil
+	s := e.v2pool.Get()
+	defer e.v2pool.Put(s)
+	return CombineTwoPhase(exact, e.meetingGridWith(p, s, u, v), e.opt.C, e.opt.L, e.opt.Steps), nil
 }
 
 // pools lazily builds the SR-SP filter-vector pools (the paper's offline

@@ -39,9 +39,10 @@ type KernelStats struct {
 	// observed so far.
 	ArenaHighWaterBytes uint64
 	// ScratchGets and ScratchMisses describe the v2 scratch buffer pool,
-	// which the occupancy kernel (index rows, indexed residuals) shares:
-	// a miss built a fresh buffer, so a steady state should show the
-	// miss count plateau while gets keep climbing.
+	// which the occupancy kernel (index rows, indexed residuals) and
+	// SR-TS's sampled tail share: a miss built a fresh buffer, so a
+	// steady state should show the miss count plateau while gets keep
+	// climbing.
 	ScratchGets   uint64
 	ScratchMisses uint64
 }

@@ -39,7 +39,6 @@ import (
 	"math/bits"
 
 	"usimrank/internal/matrix"
-	"usimrank/internal/mc"
 	"usimrank/internal/obs"
 	"usimrank/internal/parallel"
 )
@@ -95,12 +94,12 @@ func (e *Engine) CheckIndex(x SourceIndex) error {
 // occupancyWith folds one vertex-side's walk stream into per-step
 // occupancy vectors occ[k], k = 0..Steps: the rows index.Build stores,
 // index.Patch recomputes, and the indexed kernel samples as the
-// source's residual. The chunks fan out over p and each is drawn by
-// mc.SampleGrid — Sample's walks, RNG call for RNG call, written into a
-// position grid without allocating. The fold then walks the steps; per
-// step it counts each chunk's positions as integers and adds
-// float64(count)·(1/N) per vertex into a dense accumulator, chunk by
-// chunk in chunk order.
+// source's residual. sampleSide draws the stream (walkgrid.go): the
+// chunks fan out over p and each is drawn by mc.SampleGrid — Sample's
+// walks, RNG call for RNG call, written into a position grid without
+// allocating. The fold then walks the steps; per step it counts each
+// chunk's positions as integers and adds float64(count)·(1/N) per
+// vertex into a dense accumulator, chunk by chunk in chunk order.
 //
 // Bit-identity: that is exactly the arithmetic of the reference map
 // fold over mc.Sample that occupancy_test.go keeps (per-chunk integer
@@ -119,34 +118,8 @@ func (e *Engine) CheckIndex(x SourceIndex) error {
 func (e *Engine) occupancyWith(p *parallel.Pool, v int, salt uint64) []matrix.Vec {
 	s := e.v2pool.Get()
 	defer e.v2pool.Put(s)
-	s.r.Reseed(e.sideSeed(v, salt))
-	s.cu = parallel.AppendChunks(s.cu[:0], e.opt.N, parallel.DefaultChunkSize, &s.r)
-	nch := len(s.cu)
-	s.layoutGrids(e.opt.Steps + 1)
-	s.sampled = grow(s.sampled, nch)
-	clear(s.sampled)
-	if p.Workers() <= 1 || nch == 1 {
-		for ci := 0; ci < nch && p.Err() == nil; ci++ {
-			e.occupancyChunk(s, s, v, ci)
-		}
-	} else {
-		p.For(nch, func(ci int) {
-			w := e.v2pool.Get()
-			defer e.v2pool.Put(w)
-			e.occupancyChunk(s, w, v, ci)
-		})
-	}
+	e.sampleSide(p, s, v, salt)
 	return e.foldOccupancy(s)
-}
-
-// occupancyChunk samples chunk ci of s's walk stream into its block of
-// the shared grid s.posU, using w's arena (w == s on the serial path).
-func (e *Engine) occupancyChunk(s, w *v2scratch, v, ci int) {
-	c := s.cu[ci]
-	w.r.Reseed(c.Seed)
-	mc.SampleGrid(e.rev, v, e.opt.Steps, c.Len(), &w.r, &w.arena, s.posU[s.uoff[ci]:s.uoff[ci+1]])
-	e.kc.walks.Add(uint64(c.Len()))
-	s.sampled[ci] = true
 }
 
 // foldOccupancy turns the sampled chunk grids of s into the occupancy

@@ -8,7 +8,6 @@ import (
 
 	"usimrank/internal/matrix"
 	"usimrank/internal/mc"
-	"usimrank/internal/parallel"
 	"usimrank/internal/rng"
 	"usimrank/internal/ugraph"
 )
@@ -143,14 +142,10 @@ func TestOccupancyFoldSkipsUnsampledChunks(t *testing.T) {
 	ran := func(ci int) bool { return ci != 1 }
 	s := e.v2pool.Get()
 	defer e.v2pool.Put(s)
-	s.r.Reseed(e.sideSeed(v, saltWalkV))
-	s.cu = parallel.AppendChunks(s.cu[:0], e.opt.N, parallel.DefaultChunkSize, &s.r)
-	s.layoutGrids(e.opt.Steps + 1)
-	s.sampled = grow(s.sampled, len(s.cu))
-	clear(s.sampled)
+	e.layoutSide(s, v, saltWalkV)
 	for ci := range s.cu {
 		if ran(ci) {
-			e.occupancyChunk(s, s, v, ci)
+			e.sideChunk(s, s, v, ci)
 		}
 	}
 	sameRows(t, "partial", e.foldOccupancy(s), mapFoldOccupancy(e, v, saltWalkV, ran))

@@ -22,9 +22,10 @@ import (
 // handed to Pool.For escapes to the heap), which is the configuration
 // the allocation regression gate measures.
 
-// v2scratch is one worker's reusable SamplingV2 state. It is handed out
-// exclusively by the engine's scratch pool; all fields are high-water
-// buffers.
+// v2scratch is one worker's reusable grid-sampling state: SamplingV2's,
+// and that of the kernels drawing mc.Sample's walks on grids (see
+// walkgrid.go). It is handed out exclusively by the engine's scratch
+// pool; all fields are high-water buffers.
 type v2scratch struct {
 	arena mc.Arena
 	r     rng.RNG // by value: reseeded per stream, never allocated
@@ -32,7 +33,7 @@ type v2scratch struct {
 	cu, cv []parallel.Chunk // walk chunk sets of the two sides
 	posU   []int32          // u-side position grid(s)
 	posV   []int32          // v-side position grid of one chunk
-	uoff   []int32          // per-chunk offsets into posU (single-source)
+	uoff   []int32          // per-chunk offsets into posU (see layoutGrids)
 	counts []int64          // integer meeting counts
 	m      []float64        // merged m̂(k) estimate
 
@@ -114,6 +115,14 @@ func (e *Engine) samplingV2With(p *parallel.Pool, u, v int) (float64, error) {
 			e.v2PairChunk(plan, s, w, u, v, ci)
 		})
 	}
+	return Combine(e.mergeChunkCounts(s, nch), e.opt.C, e.opt.Steps), nil
+}
+
+// mergeChunkCounts sums the nch per-chunk integer meeting-count slots
+// of s.counts (Steps+1 entries each) in chunk order into the m̂(k)
+// estimate of Eq. 13, returned in s.m.
+func (e *Engine) mergeChunkCounts(s *v2scratch, nch int) []float64 {
+	stride := e.opt.Steps + 1
 	s.m = grow(s.m, stride)
 	for k := 0; k < stride; k++ {
 		var c int64
@@ -122,7 +131,7 @@ func (e *Engine) samplingV2With(p *parallel.Pool, u, v int) (float64, error) {
 		}
 		s.m[k] = float64(c) / float64(e.opt.N)
 	}
-	return Combine(s.m, e.opt.C, e.opt.Steps), nil
+	return s.m
 }
 
 // v2PairChunk samples chunk ci of both sides and accumulates its
@@ -235,11 +244,7 @@ func (e *Engine) v2Candidate(plan *mc.Plan, s, w *v2scratch, v int) float64 {
 	e.kc.walks.Add(uint64(e.opt.N))
 	e.kc.arcs.Add(uint64(arcs))
 	e.kc.noteArena(w.arena.FootprintBytes())
-	w.m = grow(w.m, stride)
-	for k := 0; k < stride; k++ {
-		w.m[k] = float64(w.counts[k]) / float64(e.opt.N)
-	}
-	return Combine(w.m, e.opt.C, n)
+	return Combine(e.mergeChunkCounts(w, 1), e.opt.C, n)
 }
 
 // High-water buffer helpers: reuse capacity, reallocate only on growth.

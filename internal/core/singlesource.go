@@ -17,7 +17,9 @@ import (
 //     against every candidate's (cached) rows.
 //   - Sampling: u's N walks are sampled once per chunk and replayed
 //     against every candidate's walks.
-//   - TwoPhase: u's exact prefix rows and u's walks, each once.
+//   - TwoPhase: u's exact prefix rows and u's walk grids, each once;
+//     every candidate's walks are drawn into pooled grids and counted
+//     against them, allocation-free in the sampled tail.
 //   - SRSP: u's counting tables are propagated once and dotted against
 //     one propagation per candidate.
 //   - SamplingV2: u's lockstep walk grids are sampled once per chunk
@@ -167,9 +169,10 @@ func (e *Engine) samplingKernel(p *parallel.Pool, u int, candidates []int, out [
 	return nil
 }
 
-// twoPhaseKernel: u's exact prefix rows and u's walks, each once;
-// per candidate one prefix dot and one walk replay. Identical
-// arithmetic to TwoPhase(u, v).
+// twoPhaseKernel: u's exact prefix rows and u's walk grids, each once
+// (sampleSide); per candidate one prefix dot and one walk replay on its
+// own pooled scratch (candidateGrid). Identical arithmetic to
+// TwoPhase(u, v).
 func (e *Engine) twoPhaseKernel(p *parallel.Pool, u int, candidates []int, out []float64, errs []error) error {
 	n := e.opt.Steps
 	l := e.splitDepth()
@@ -177,10 +180,15 @@ func (e *Engine) twoPhaseKernel(p *parallel.Pool, u int, candidates []int, out [
 	if err != nil {
 		return err
 	}
-	var walksU []*mc.Walks
+	var s *v2scratch
 	if l < n {
-		walksU = e.sourceWalks(p, u)
+		s = e.v2pool.Get()
+		defer e.v2pool.Put(s)
+		e.sampleSide(p, s, u, saltWalkU)
 	}
+	// On a cancelled pool view the source grids may be incomplete, but
+	// then the candidate fan-out below runs no tasks either; callers of
+	// the Ctx query shapes discard the partial output.
 	p.For(len(candidates), func(i int) {
 		rv, err := e.exactRows(candidates[i], l)
 		if err != nil {
@@ -195,8 +203,9 @@ func (e *Engine) twoPhaseKernel(p *parallel.Pool, u int, candidates []int, out [
 			out[i] = Combine(exact, e.opt.C, n)
 			return
 		}
-		sampled := e.candidateMeeting(walksU, candidates[i])
-		out[i] = CombineTwoPhase(exact, sampled, e.opt.C, e.opt.L, n)
+		w := e.v2pool.Get()
+		defer e.v2pool.Put(w)
+		out[i] = CombineTwoPhase(exact, e.candidateGrid(s, w, candidates[i]), e.opt.C, e.opt.L, n)
 	})
 	return nil
 }

@@ -37,7 +37,10 @@
 // because mc.SampleGrid makes mc.Sample's RNG calls in the same order,
 // so it draws the same walks, and the fold performs the same float
 // operations in the same order. Summing the integer counts across
-// chunks first would round differently.
+// chunks first would round differently. The engine samples a source's
+// walks for SR-TS's sampled tail through the same code, so a vertex's
+// u-side grids are the same whether a twophase query or an indexed
+// residual asks for them.
 //
 // At query time the engine samples only the source's u-side walks and
 // evaluates m̂(k)(u, v) = ⟨occ_u[k], occ_v[k]⟩ per candidate — see

@@ -22,6 +22,11 @@ import (
 // draw even when the out-set has one arc (v2 skips that draw, which is
 // why v2 is a separate strategy and this is not). A warmed arena makes
 // SampleGrid allocation-free.
+//
+// The engine draws two kernels' walks with it: the occupancy rows of
+// the index plane (build, patch and the indexed residual sample) and
+// SR-TS's sampled tail, which counts meetings on the grids with
+// CountMeets. The Sampling algorithm still calls Sample, its reference.
 func SampleGrid(g *ugraph.Graph, src, steps, W int, r *rng.RNG, a *Arena, pos []int32) {
 	if len(a.logV) < steps {
 		a.logV = make([]int32, steps)
