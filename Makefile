@@ -15,7 +15,7 @@ test:
 	go test ./...
 
 race:
-	go test -race ./internal/core ./internal/parallel ./internal/topk ./internal/cache ./internal/index ./internal/server ./internal/cluster ./internal/obs ./internal/sub
+	go test -race ./internal/core ./internal/parallel ./internal/topk ./internal/cache ./internal/index ./internal/server ./internal/cluster ./internal/obs ./internal/sub ./internal/speedup
 
 check: build
 	go vet ./...

@@ -439,8 +439,9 @@ func benchUpdateGraph(b *testing.B) (*usimrank.Graph, *usimrank.Engine, []usimra
 
 // BenchmarkApplyUpdates measures the incremental path of the dynamic
 // update plane: one single-arc reweight on the warm 10k-vertex engine,
-// including CSR compaction, targeted row-cache invalidation, and
-// per-vertex filter patching. Compare against BenchmarkEngineRebuild,
+// including CSR compaction, targeted row-cache invalidation, and the
+// SR-SP filter patch, which invalidates the touched head and re-samples
+// nothing (a later SR-SP query does). Compare against BenchmarkEngineRebuild,
 // the cost the same mutation paid before this plane existed (a full
 // reload): the incremental path is expected to be ≥10× faster, and the
 // reported invalidated_frac must stay well under 0.20 (also pinned by
@@ -604,4 +605,69 @@ func BenchmarkTwoPhaseSource(b *testing.B) {
 		}
 	}
 	reportWalkSteps(b, e, 1+len(cands))
+}
+
+// benchWriteBatch returns write-push's update shape on g: one fixed
+// batch of 16 reweights of distinct arcs to fresh probabilities.
+func benchWriteBatch(g *usimrank.Graph) []usimrank.ArcUpdate {
+	r := rng.New(7)
+	picked := map[int32]bool{}
+	var ups []usimrank.ArcUpdate
+	for len(ups) < 16 {
+		id := int32(r.Intn(g.NumArcs()))
+		if picked[id] {
+			continue
+		}
+		picked[id] = true
+		u, v, _ := g.ArcEndpoints(id)
+		ups = append(ups, usimrank.ArcUpdate{Op: usimrank.OpReweight, U: int(u), V: int(v), P: 0.05 + 0.95*r.Float64()})
+	}
+	return ups
+}
+
+// BenchmarkUpdateBatchWarm measures ApplyUpdates the way a write-push
+// node pays it: write-push's graph family under the serving defaults,
+// SR-SP filters warmed as -warm does, and one fixed batch of 16
+// distinct-arc reweights applied to the same warm engine each
+// iteration. The filter patch invalidates the touched heads and
+// re-samples nothing, so the time is compaction, the two BFS runs and
+// the row carry-over. Trajectory only, outside the bench gate.
+func BenchmarkUpdateBatchWarm(b *testing.B) {
+	g := gen.CoAuthorship(10_000, 2, rng.New(5))
+	e, err := usimrank.New(g, usimrank.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	e.WarmFilters()
+	ups := benchWriteBatch(g)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := e.ApplyUpdates(ups); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWarmFilters times the full two-pool SR-SP filter build (what
+// -warm pays at start-up) on write-push's graph family at the serving
+// default N = 1000 and one worker. ns/process-arc divides by N sampling
+// processes times the arc count, per pool. Trajectory only, outside the
+// bench gate.
+func BenchmarkWarmFilters(b *testing.B) {
+	g := gen.CoAuthorship(10_000, 2, rng.New(5))
+	var e *usimrank.Engine
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		var err error
+		if e, err = usimrank.New(g, usimrank.Options{Parallelism: 1}); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		e.WarmFilters()
+	}
+	processArcs := float64(b.N) * 2 * float64(e.Options().N) * float64(g.NumArcs())
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/processArcs, "ns/process-arc")
 }

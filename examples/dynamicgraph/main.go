@@ -88,7 +88,7 @@ func main() {
 	fmt.Printf("  row cache             %d evicted, %d retained (%.1f%% invalidated, horizon %d)\n",
 		stats.RowsEvicted, stats.RowsRetained,
 		100*float64(stats.RowsEvicted)/float64(stats.RowsEvicted+stats.RowsRetained), stats.HorizonDepth)
-	fmt.Printf("  SR-SP filter pools    patched=%v, %d vertices re-sampled (of %d)\n\n",
+	fmt.Printf("  SR-SP filter pools    patched=%v, %d vertices invalidated (of %d), re-sampled on first use\n\n",
 		stats.FiltersPatched, stats.FilterVerticesRebuilt, 2*g.NumVertices())
 
 	// The old engine is untouched — in-flight queries would still be

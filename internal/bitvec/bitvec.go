@@ -2,7 +2,11 @@
 // bitwise operations used by the SR-SP speed-up technique (Sec. VI-D of
 // the paper): each arc carries an N-bit filter vector and each vertex a
 // per-level counting table, and sampling N walks simultaneously reduces to
-// AND/OR/popcount over these vectors.
+// AND/OR/popcount over these vectors. The word-slice kernels
+// (OrAndWords, AndAnyWords, AndPopCountWords, PopCountWords, AnyWords)
+// run the same operations on rows carved from a shared slab, which is
+// how package speedup stores its filters and counting tables; the
+// Vector methods call them.
 package bitvec
 
 import (
@@ -76,6 +80,17 @@ func (v *Vector) trim() {
 	}
 }
 
+// FromWords returns an n-bit vector holding a copy of words, which must
+// have (n+63)/64 entries with the bits past n clear.
+func FromWords(n int, words []uint64) *Vector {
+	v := New(n)
+	if len(words) != len(v.words) {
+		panic(fmt.Sprintf("bitvec: %d words for %d bits", len(words), n))
+	}
+	copy(v.words, words)
+	return v
+}
+
 // Clone returns a deep copy of v.
 func (v *Vector) Clone() *Vector {
 	w := New(v.n)
@@ -113,9 +128,27 @@ func (v *Vector) AndNot(o *Vector) {
 func (v *Vector) OrAnd(a, b *Vector) {
 	v.match(a)
 	v.match(b)
-	for i := range v.words {
-		v.words[i] |= a.words[i] & b.words[i]
+	OrAndWords(v.words, a.words, b.words)
+}
+
+// OrAndWords sets dst[i] |= a[i] & b[i] for every word of dst; a and b
+// must be at least as long.
+func OrAndWords(dst, a, b []uint64) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := range dst {
+		dst[i] |= a[i] & b[i]
 	}
+}
+
+// AndAnyWords reports whether a & b has a set bit; b must be at least
+// as long as a.
+func AndAnyWords(a, b []uint64) bool {
+	b = b[:len(a)]
+	var x uint64
+	for i, w := range a {
+		x |= w & b[i]
+	}
+	return x != 0
 }
 
 func (v *Vector) match(o *Vector) {
@@ -125,9 +158,12 @@ func (v *Vector) match(o *Vector) {
 }
 
 // PopCount returns the number of set bits (the 1-norm ‖v‖₁ of Eq. 16).
-func (v *Vector) PopCount() int {
+func (v *Vector) PopCount() int { return PopCountWords(v.words) }
+
+// PopCountWords returns the number of set bits across ws.
+func PopCountWords(ws []uint64) int {
 	c := 0
-	for _, w := range v.words {
+	for _, w := range ws {
 		c += bits.OnesCount64(w)
 	}
 	return c
@@ -137,16 +173,26 @@ func (v *Vector) PopCount() int {
 // The vectors must have equal length.
 func (v *Vector) AndPopCount(o *Vector) int {
 	v.match(o)
+	return AndPopCountWords(v.words, o.words)
+}
+
+// AndPopCountWords returns ‖a & b‖₁ without materialising the
+// intersection; b must be at least as long as a.
+func AndPopCountWords(a, b []uint64) int {
+	b = b[:len(a)]
 	c := 0
-	for i, w := range o.words {
-		c += bits.OnesCount64(v.words[i] & w)
+	for i, w := range a {
+		c += bits.OnesCount64(w & b[i])
 	}
 	return c
 }
 
 // Any reports whether at least one bit is set.
-func (v *Vector) Any() bool {
-	for _, w := range v.words {
+func (v *Vector) Any() bool { return AnyWords(v.words) }
+
+// AnyWords reports whether any word of ws has a set bit.
+func AnyWords(ws []uint64) bool {
+	for _, w := range ws {
 		if w != 0 {
 			return true
 		}

@@ -15,6 +15,7 @@ package cache
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // entry is one node of the intrusive recency list.
@@ -29,14 +30,17 @@ type entry[K comparable, V any] struct {
 // promoting), and inserting into a full cache evicts the
 // least-recently-used entry.
 type LRU[K comparable, V any] struct {
-	mu        sync.Mutex
-	capacity  int
-	items     map[K]*entry[K, V]
-	head      *entry[K, V] // most recently used
-	tail      *entry[K, V] // least recently used
-	evictions uint64
-	hits      uint64
-	misses    uint64
+	mu       sync.Mutex
+	capacity int
+	items    map[K]*entry[K, V]
+	head     *entry[K, V] // most recently used
+	tail     *entry[K, V] // least recently used
+	ctr      *counters    // shared with every Successor
+}
+
+// counters are an LRU lineage's lifetime totals.
+type counters struct {
+	evictions, hits, misses atomic.Uint64
 }
 
 // New returns an empty LRU holding at most capacity entries. It panics
@@ -49,6 +53,19 @@ func New[K comparable, V any](capacity int) *LRU[K, V] {
 	return &LRU[K, V]{
 		capacity: capacity,
 		items:    make(map[K]*entry[K, V]),
+		ctr:      new(counters),
+	}
+}
+
+// Successor returns an empty LRU with c's capacity that continues c's
+// lifetime counters: hits, misses and evictions recorded by either
+// cache show in both, so totals read from the newest cache of a lineage
+// never drop when it replaces its predecessor.
+func (c *LRU[K, V]) Successor() *LRU[K, V] {
+	return &LRU[K, V]{
+		capacity: c.capacity,
+		items:    make(map[K]*entry[K, V]),
+		ctr:      c.ctr,
 	}
 }
 
@@ -86,11 +103,11 @@ func (c *LRU[K, V]) Get(k K) (V, bool) {
 	defer c.mu.Unlock()
 	e, ok := c.items[k]
 	if !ok {
-		c.misses++
+		c.ctr.misses.Add(1)
 		var zero V
 		return zero, false
 	}
-	c.hits++
+	c.ctr.hits.Add(1)
 	if c.head != e {
 		c.unlink(e)
 		c.pushFront(e)
@@ -115,7 +132,7 @@ func (c *LRU[K, V]) Add(k K, v V) {
 		lru := c.tail
 		c.unlink(lru)
 		delete(c.items, lru.key)
-		c.evictions++
+		c.ctr.evictions.Add(1)
 	}
 	e := &entry[K, V]{key: k, val: v}
 	c.items[k] = e
@@ -150,21 +167,16 @@ func (c *LRU[K, V]) Snapshot() (keys []K, vals []V) {
 	return keys, vals
 }
 
-// Evictions returns the number of entries evicted so far — the
+// Evictions returns the number of entries evicted so far, across the
+// cache's lineage (see Successor) — the
 // observable difference between bounded eviction and the old
 // wipe-everything reset, and a cheap thrash metric for callers sizing
 // RowCacheSize.
-func (c *LRU[K, V]) Evictions() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.evictions
-}
+func (c *LRU[K, V]) Evictions() uint64 { return c.ctr.evictions.Load() }
 
-// Counters returns the lifetime Get hit and miss counts — the
+// Counters returns the lineage's lifetime Get hit and miss counts — the
 // effectiveness companion to Evictions' thrash metric. Adds are not
 // counted: a warm working set shows hits climbing against flat misses.
 func (c *LRU[K, V]) Counters() (hits, misses uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
+	return c.ctr.hits.Load(), c.ctr.misses.Load()
 }

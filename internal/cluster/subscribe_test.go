@@ -207,7 +207,17 @@ func TestRelayReconnectsAfterConnectionLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(node.Close)
-	nts := httptest.NewServer(node.Handler())
+	// attached counts the node's subscribe streams whose response
+	// headers are out: the handler registers its subscription before
+	// writing them and decides on a snapshot right after.
+	var attached atomic.Int64
+	nodeHandler := node.Handler()
+	nts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/subscribe" {
+			w = &headerFlushSignal{ResponseWriter: w, flushed: &attached}
+		}
+		nodeHandler.ServeHTTP(w, r)
+	}))
 	defer nts.Close()
 	co := newCoordinator(t, [][]string{{nts.URL}}, nil)
 	cts := httptest.NewServer(co.Handler())
@@ -221,11 +231,15 @@ func TestRelayReconnectsAfterConnectionLoss(t *testing.T) {
 	}
 
 	// Kill every open connection to the node, including the relay's
-	// stream, then wait for the relay to re-attach.
+	// stream, then wait for the relay to re-attach: a second stream has
+	// sent its headers. (The node's Active count is no signal: the dead
+	// stream keeps it at 1 until the node notices the closed connection,
+	// and an update landing before the re-attach is rightly answered
+	// with a snapshot at the new generation.)
 	nts.CloseClientConnections()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if st := node.Stats(); st.Subscriptions != nil && st.Subscriptions.Active >= 1 {
+		if attached.Load() >= 2 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -246,6 +260,27 @@ func TestRelayReconnectsAfterConnectionLoss(t *testing.T) {
 	if fr.Name() != server.EventUpdate || fr.ID() != 2 {
 		t.Fatalf("post-reconnect event %s id %d, want update id 2 (a duplicate snapshot means the resume cursor was lost)",
 			fr.Name(), fr.ID())
+	}
+}
+
+// headerFlushSignal counts, in flushed, the flush that sends a
+// response's headers.
+type headerFlushSignal struct {
+	http.ResponseWriter
+	flushed *atomic.Int64
+	pending bool
+}
+
+func (h *headerFlushSignal) WriteHeader(code int) {
+	h.ResponseWriter.WriteHeader(code)
+	h.pending = true
+}
+
+func (h *headerFlushSignal) Flush() {
+	h.ResponseWriter.(http.Flusher).Flush()
+	if h.pending {
+		h.pending = false
+		h.flushed.Add(1)
 	}
 }
 

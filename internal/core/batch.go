@@ -24,8 +24,10 @@ func (e *Engine) computeWith(p *parallel.Pool, alg Algorithm, u, v int) (float64
 }
 
 // Clone returns an engine over the same graph with the same options but
-// an independent row cache. The reversed graph and the SR-SP filter
-// pools are shared: both are immutable after construction. Since the
+// an independent row cache and kernel counters. The reversed graph and
+// the SR-SP filter pools are shared: the graph is immutable, and the
+// pools are safe for concurrent use and their filters never change (an
+// invalidated vertex re-samples to the bits a full build gives). Since the
 // Engine itself is now safe for concurrent use, Clone is only needed to
 // isolate row-cache churn between workloads, not for safety.
 func (e *Engine) Clone() *Engine {
@@ -40,6 +42,7 @@ func (e *Engine) Clone() *Engine {
 		poolV:  fv,
 		v2pool: e.v2pool, // scratch buffers are generic, share the warm pool
 		gen:    e.gen,
+		kc:     new(kernelCounters),
 	}
 	// Same graph, same plan: share whatever the receiver has built.
 	clone.v2plan.Store(e.v2plan.Load())

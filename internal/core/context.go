@@ -84,8 +84,15 @@ func BatchCtx(ctx context.Context, e *Engine, alg Algorithm, pairs [][2]int, wor
 }
 
 // WarmFilters eagerly builds the SR-SP filter-vector pools (normally
-// built lazily on the first SR-SP query). Serving planes call it while
-// preparing an engine off the request path — e.g. before hot-swapping a
-// freshly loaded graph — so the first query after the swap does not pay
-// the whole offline phase.
-func (e *Engine) WarmFilters() { e.pools() }
+// built lazily on the first SR-SP query), and on an ApplyUpdates
+// successor re-samples every filter vertex the updates invalidated.
+// Serving planes call it while preparing an engine off the request path
+// — e.g. before hot-swapping a freshly loaded graph — so the first
+// query after the swap does not pay the whole offline phase.
+func (e *Engine) WarmFilters() {
+	fu, fv := e.pools()
+	fu.Materialize(e.pool)
+	if fv != fu {
+		fv.Materialize(e.pool)
+	}
+}

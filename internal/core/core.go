@@ -133,6 +133,9 @@ type Engine struct {
 	// query shape (pair, single-source, matrix, batch, top-k).
 	rows *cache.LRU[int, []matrix.Vec]
 
+	// SR-SP filter pools, built whole on first use (see pools). An
+	// ApplyUpdates successor inherits them patched: invalidated heads
+	// are re-sampled by the first propagation that reaches them.
 	filterMu sync.Mutex // guards lazy poolU/poolV construction
 	poolU    *speedup.Filters
 	poolV    *speedup.Filters
@@ -153,7 +156,9 @@ type Engine struct {
 
 	// kc aggregates lifetime kernel resource counts (walks sampled, v2
 	// arc instantiations, arena high-water) for the observability plane.
-	kc kernelCounters
+	// ApplyUpdates successors share it, like the row cache's counters,
+	// so the lifetime totals never drop across a generation swap.
+	kc *kernelCounters
 }
 
 // NewEngine validates opt and builds an engine for g.
@@ -170,6 +175,7 @@ func NewEngine(g *ugraph.Graph, opt Options) (*Engine, error) {
 		rows:   cache.New[int, []matrix.Vec](opt.RowCacheSize),
 		v2pool: newV2Pool(opt),
 		gen:    1,
+		kc:     new(kernelCounters),
 	}, nil
 }
 
@@ -515,7 +521,8 @@ func (e *Engine) twoPhaseWith(p *parallel.Pool, u, v int) (float64, error) {
 // phase), fanning the per-vertex filter construction out over the
 // engine's worker pool. With SharedPool both sides use one pool, the
 // literal Fig. 5. The mutex makes the lazy build safe under concurrent
-// first queries; after construction the filters are immutable.
+// first queries. A built pool's filters never change: vertices an update
+// invalidated are re-sampled bit-identically on first use.
 func (e *Engine) pools() (*speedup.Filters, *speedup.Filters) {
 	e.filterMu.Lock()
 	defer e.filterMu.Unlock()
@@ -533,32 +540,45 @@ func (e *Engine) pools() (*speedup.Filters, *speedup.Filters) {
 // MeetingSpeedup estimates m(k)(u,v) for k = 0..Steps with the bit-vector
 // speed-up (Sec. VI-D, Eq. 16).
 func (e *Engine) MeetingSpeedup(u, v int) ([]float64, error) {
-	return e.meetingSpeedupWith(e.pool, u, v)
-}
-
-func (e *Engine) meetingSpeedupWith(p *parallel.Pool, u, v int) ([]float64, error) {
 	if err := e.checkVertex(u); err != nil {
 		return nil, err
 	}
 	if err := e.checkVertex(v); err != nil {
 		return nil, err
 	}
-	fu, fv := e.pools()
-	var tu, tv *speedup.Tables
-	p.For(2, func(side int) {
-		if side == 0 {
-			tu = speedup.Propagate(fu, u, e.opt.Steps)
-		} else {
-			tv = speedup.Propagate(fv, v, e.opt.Steps)
-		}
-	})
-	// On a cancelled pool view For may have skipped a propagation,
-	// leaving tu/tv nil; surface the cancellation instead of handing
-	// nil tables to MeetingEstimates.
-	if err := p.Err(); err != nil {
+	su, sv := e.v2pool.Get(), e.v2pool.Get()
+	defer e.v2pool.Put(su)
+	defer e.v2pool.Put(sv)
+	if err := e.propagatePair(e.pool, su, sv, u, v); err != nil {
 		return nil, err
 	}
-	return speedup.MeetingEstimates(tu, tv), nil
+	return speedup.MeetingEstimates(&su.tab, &sv.tab), nil
+}
+
+// propagatePair propagates u's counting tables over the u-side pool into
+// su.tab and v's over the v-side pool into sv.tab, the two fanned out
+// over p. On a cancelled pool it returns the pool's error, and the
+// tables may be stale.
+func (e *Engine) propagatePair(p *parallel.Pool, su, sv *v2scratch, u, v int) error {
+	fu, fv := e.pools()
+	n := e.opt.Steps
+	if p.Workers() <= 1 {
+		if p.Err() == nil {
+			speedup.PropagateInto(&su.tab, &su.prop, fu, u, n)
+		}
+		if p.Err() == nil {
+			speedup.PropagateInto(&sv.tab, &sv.prop, fv, v, n)
+		}
+	} else {
+		p.For(2, func(side int) {
+			if side == 0 {
+				speedup.PropagateInto(&su.tab, &su.prop, fu, u, n)
+			} else {
+				speedup.PropagateInto(&sv.tab, &sv.prop, fv, v, n)
+			}
+		})
+	}
+	return p.Err()
 }
 
 // SRSP computes ŝ(n)(u,v) with the two-phase algorithm whose sampling
@@ -567,20 +587,34 @@ func (e *Engine) SRSP(u, v int) (float64, error) {
 	return e.srspWith(e.pool, u, v)
 }
 
+// srspWith is SRSP on an explicit pool. Its state is pooled: the two
+// counting tables and the estimate live in v2scratch buffers, so with
+// the rows cached and the filters built it allocates nothing.
 func (e *Engine) srspWith(p *parallel.Pool, u, v int) (float64, error) {
+	if err := e.checkVertex(u); err != nil {
+		return 0, err
+	}
+	if err := e.checkVertex(v); err != nil {
+		return 0, err
+	}
 	l := e.splitDepth()
-	exact, err := e.MeetingExact(u, v, l)
+	ru, err := e.exactRows(u, l)
 	if err != nil {
 		return 0, err
 	}
-	if e.opt.L >= e.opt.Steps {
-		return Combine(exact, e.opt.C, e.opt.Steps), nil
-	}
-	sampled, err := e.meetingSpeedupWith(p, u, v)
+	rv, err := e.exactRows(v, l)
 	if err != nil {
 		return 0, err
 	}
-	return CombineTwoPhase(exact, sampled, e.opt.C, e.opt.L, e.opt.Steps), nil
+	su, sv := e.v2pool.Get(), e.v2pool.Get()
+	defer e.v2pool.Put(su)
+	defer e.v2pool.Put(sv)
+	if l < e.opt.Steps {
+		if err := e.propagatePair(p, su, sv, u, v); err != nil {
+			return 0, err
+		}
+	}
+	return e.srspPair(ru, rv, &su.tab, &sv.tab, l, su), nil
 }
 
 // SRSPMatrix computes ŝ(n) for every pair of the given vertices with the
@@ -597,23 +631,27 @@ func (e *Engine) SRSPMatrix(vertices []int) ([][]float64, error) {
 			return nil, err
 		}
 	}
-	fu, fv := e.pools()
 	n := e.opt.Steps
 	l := e.splitDepth()
 
 	// Phase 1: counting-table propagations, two independent tasks per
 	// vertex (u-side and v-side pools), fanned out over the worker pool.
-	// Each task writes only its own slot, so the fan-out is
-	// deterministic.
+	// Each task propagates into pooled tables and keeps an exactly sized
+	// clone in its own slot, so the fan-out is deterministic.
 	tabU := make([]*speedup.Tables, len(vertices))
 	tabV := make([]*speedup.Tables, len(vertices))
 	if l < n {
+		fu, fv := e.pools()
 		e.pool.For(2*len(vertices), func(t int) {
+			w := e.v2pool.Get()
+			defer e.v2pool.Put(w)
 			i := t / 2
 			if t%2 == 0 {
-				tabU[i] = speedup.Propagate(fu, vertices[i], n)
+				speedup.PropagateInto(&w.tab, &w.prop, fu, vertices[i], n)
+				tabU[i] = w.tab.Clone()
 			} else {
-				tabV[i] = speedup.Propagate(fv, vertices[i], n)
+				speedup.PropagateInto(&w.tab, &w.prop, fv, vertices[i], n)
+				tabV[i] = w.tab.Clone()
 			}
 		})
 	}
@@ -634,8 +672,10 @@ func (e *Engine) SRSPMatrix(vertices []int) ([][]float64, error) {
 		out[i] = make([]float64, len(vertices))
 	}
 	e.pool.For(len(vertices), func(i int) {
+		w := e.v2pool.Get()
+		defer e.v2pool.Put(w)
 		for j := range vertices {
-			out[i][j] = e.srspPair(exact[i], exact[j], tabU[i], tabV[j], l)
+			out[i][j] = e.srspPair(exact[i], exact[j], tabU[i], tabV[j], l, w)
 		}
 	})
 	return out, nil

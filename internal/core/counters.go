@@ -45,18 +45,32 @@ type KernelStats struct {
 	// climbing.
 	ScratchGets   uint64
 	ScratchMisses uint64
+	// FilterVerticesResampled counts the SR-SP filter blocks re-sampled
+	// on first use after an update invalidated them (see ApplyUpdates),
+	// across every generation patched from the same filter build.
+	FilterVerticesResampled uint64
 }
 
 // KernelStats returns the engine's lifetime kernel resource counters.
 func (e *Engine) KernelStats() KernelStats {
 	gets, misses := e.v2pool.Stats()
-	return KernelStats{
+	ks := KernelStats{
 		Walks:               e.kc.walks.Load(),
 		ArcsInstantiated:    e.kc.arcs.Load(),
 		ArenaHighWaterBytes: e.kc.arenaHigh.Load(),
 		ScratchGets:         gets,
 		ScratchMisses:       misses,
 	}
+	e.filterMu.Lock()
+	fu, fv := e.poolU, e.poolV
+	e.filterMu.Unlock()
+	if fu != nil {
+		ks.FilterVerticesResampled = fu.Resampled()
+		if fv != fu {
+			ks.FilterVerticesResampled += fv.Resampled()
+		}
+	}
+	return ks
 }
 
 // RowCacheCounters reports the shared row cache's lifetime hit/miss/

@@ -4,6 +4,7 @@ import (
 	"usimrank/internal/mc"
 	"usimrank/internal/parallel"
 	"usimrank/internal/rng"
+	"usimrank/internal/speedup"
 )
 
 // This file plumbs the v2 sampling kernel (internal/mc's Plan/Arena)
@@ -22,10 +23,11 @@ import (
 // handed to Pool.For escapes to the heap), which is the configuration
 // the allocation regression gate measures.
 
-// v2scratch is one worker's reusable grid-sampling state: SamplingV2's,
-// and that of the kernels drawing mc.Sample's walks on grids (see
-// walkgrid.go). It is handed out exclusively by the engine's scratch
-// pool; all fields are high-water buffers.
+// v2scratch is one worker's reusable sampling state: SamplingV2's,
+// that of the kernels drawing mc.Sample's walks on grids (see
+// walkgrid.go), and SR-SP's counting tables. It is handed out
+// exclusively by the engine's scratch pool; all fields are high-water
+// buffers.
 type v2scratch struct {
 	arena mc.Arena
 	r     rng.RNG // by value: reseeded per stream, never allocated
@@ -49,6 +51,11 @@ type v2scratch struct {
 	cnt     []int32   // per-vertex walk count of one chunk's step row
 	acc     []float64 // per-vertex occupancy of one step, summed in chunk order
 	hit     []uint64  // bitset of the vertices acc holds this step
+
+	// SR-SP state: one vertex's counting tables and the frontier
+	// scratch that propagates them; see propagatePair.
+	tab  speedup.Tables
+	prop speedup.Scratch
 }
 
 // newV2Pool sizes the scratch pool for opt: every worker plus a few

@@ -211,8 +211,8 @@ func (e *Engine) twoPhaseKernel(p *parallel.Pool, u int, candidates []int, out [
 }
 
 // srspKernel: u's exact prefix rows and u's counting-table propagation,
-// each once; per candidate one prefix dot and one propagation.
-// Identical arithmetic to SRSP(u, v).
+// each once; per candidate one prefix dot and one propagation into a
+// pooled scratch. Identical arithmetic to SRSP(u, v).
 func (e *Engine) srspKernel(p *parallel.Pool, u int, candidates []int, out []float64, errs []error) error {
 	n := e.opt.Steps
 	l := e.splitDepth()
@@ -220,12 +220,13 @@ func (e *Engine) srspKernel(p *parallel.Pool, u int, candidates []int, out []flo
 	if err != nil {
 		return err
 	}
-	var tu *speedup.Tables
+	s := e.v2pool.Get()
+	defer e.v2pool.Put(s)
 	var fv *speedup.Filters
 	if l < n {
-		fu, fvSide := e.pools()
-		fv = fvSide
-		tu = speedup.Propagate(fu, u, n)
+		var fu *speedup.Filters
+		fu, fv = e.pools()
+		speedup.PropagateInto(&s.tab, &s.prop, fu, u, n)
 	}
 	p.For(len(candidates), func(i int) {
 		rv, err := e.exactRows(candidates[i], l)
@@ -233,28 +234,35 @@ func (e *Engine) srspKernel(p *parallel.Pool, u int, candidates []int, out []flo
 			errs[i] = err
 			return
 		}
-		var tv *speedup.Tables
+		w := e.v2pool.Get()
+		defer e.v2pool.Put(w)
 		if l < n {
-			tv = speedup.Propagate(fv, candidates[i], n)
+			speedup.PropagateInto(&w.tab, &w.prop, fv, candidates[i], n)
 		}
-		out[i] = e.srspPair(ru, rv, tu, tv, l)
+		out[i] = e.srspPair(ru, rv, &s.tab, &w.tab, l, w)
 	})
 	return nil
 }
 
 // srspPair combines one (u, v) pair from prepared per-vertex SRSP state
-// — exact prefix rows plus (when l < Steps) propagated counting tables.
-// It is the shared tail of the pairwise SRSP path, the single-source
-// kernel, and the SRSPMatrix sweep, so the three are bit-identical by
-// construction.
-func (e *Engine) srspPair(exactU, exactV []matrix.Vec, tu, tv *speedup.Tables, l int) float64 {
+// — exact prefix rows plus (when l < Steps) propagated counting tables —
+// with w.m as the estimate buffer. It is the shared tail of the pairwise
+// SRSP path, the single-source kernel, and the SRSPMatrix sweep, so the
+// three are bit-identical by construction.
+func (e *Engine) srspPair(exactU, exactV []matrix.Vec, tu, tv *speedup.Tables, l int, w *v2scratch) float64 {
 	n := e.opt.Steps
-	m := make([]float64, l+1)
+	m := grow(w.m, n+1)
+	w.m = m
+	if l < n {
+		speedup.MeetingEstimatesInto(m, tu, tv)
+	}
+	// The exact prefix overwrites m[0..l]: Eq. 15 reads m[k] as exact
+	// for k ≤ l and as the sampled estimate above.
 	for k := 0; k <= l; k++ {
 		m[k] = exactU[k].Dot(exactV[k])
 	}
 	if l >= n {
 		return Combine(m, e.opt.C, n)
 	}
-	return CombineTwoPhase(m, speedup.MeetingEstimates(tu, tv), e.opt.C, l, n)
+	return CombineTwoPhase(m, m, e.opt.C, l, n)
 }

@@ -2,9 +2,8 @@ package core
 
 import (
 	"fmt"
+	"time"
 
-	"usimrank/internal/cache"
-	"usimrank/internal/matrix"
 	"usimrank/internal/speedup"
 	"usimrank/internal/ugraph"
 )
@@ -35,8 +34,11 @@ type UpdateStats struct {
 	// SR-SP filter pools (and so the successor inherited patched pools
 	// instead of rebuilding lazily from scratch).
 	FiltersPatched bool
-	// FilterVerticesRebuilt is the number of per-vertex filter rebuilds
-	// across the patched pools (0 when FiltersPatched is false).
+	// FilterVerticesRebuilt is the number of per-vertex filter blocks
+	// the patch invalidated across the patched pools (0 when
+	// FiltersPatched is false). The patch re-samples none of them: the
+	// first propagation that reaches an invalidated vertex does, or
+	// WarmFilters; KernelStats counts those re-samples.
 	FilterVerticesRebuilt int
 	// TouchedSources is the sorted set of source vertices whose
 	// reverse-walk distribution can have changed: vertices that reach a
@@ -56,6 +58,26 @@ type UpdateStats struct {
 	TouchedSources []int32
 	// Generation is the successor engine's generation number.
 	Generation uint64
+	// Phases splits the call's wall time into its steps.
+	Phases UpdatePhases
+}
+
+// UpdatePhases are the wall times of ApplyUpdates' steps, in order.
+type UpdatePhases struct {
+	// Compact is delta staging plus CSR compaction of the mutated graph
+	// and its reverse.
+	Compact time.Duration
+	// EvictBFS is the BoundedDistances run that decides row-cache
+	// eviction (zero when no head or no cached row exists).
+	EvictBFS time.Duration
+	// TouchBFS is the BoundedDistances run to the full walk horizon that
+	// yields TouchedSources (zero for a batch that nets out).
+	TouchBFS time.Duration
+	// RowCarry is the carry-over of surviving row-cache entries.
+	RowCarry time.Duration
+	// Filters is the SR-SP filter invalidation, one O(|V|) table copy
+	// per built pool.
+	Filters time.Duration
 }
 
 // Generation returns the engine's graph generation: 1 for an engine
@@ -78,18 +100,28 @@ func (e *Engine) Generation() uint64 { return e.gen }
 //     the update overlay (O(|V|+|E|) copy, no re-sort);
 //   - row-cache entries survive unless their source reaches a touched
 //     arc head within the cached walk horizon (a bounded BFS decides);
-//   - built SR-SP filter pools are patched per-vertex: only vertices
-//     whose reversed out-row changed are re-sampled.
+//   - built SR-SP filter pools are patched per vertex: the vertices
+//     whose reversed out-row changed are invalidated, and re-sampled
+//     only when an SR-SP propagation first reaches them (or by
+//     WarmFilters), so an update re-samples no filter.
 //
 // Every query on the derived engine is bit-identical to the same query
 // on a freshly built engine over the mutated graph with the same
 // options: walk streams depend only on (seed, vertex, side), retained
-// rows are prefix-stable, and patched filters reproduce the
-// from-scratch build exactly. The oracle test suite pins this.
+// rows are prefix-stable, and re-sampled filters reproduce the
+// from-scratch build exactly. The oracle test suite pins this. Kernel
+// and row-cache counters carry over, so lifetime totals read from the
+// newest generation never drop.
 //
 // An empty update batch is legal and yields a successor with all warm
 // state retained (only the generation changes).
 func (e *Engine) ApplyUpdates(updates []ugraph.ArcUpdate) (*Engine, *UpdateStats, error) {
+	phase := time.Now()
+	lap := func(dst *time.Duration) { // charges the time since the last lap to *dst
+		now := time.Now()
+		*dst += now.Sub(phase)
+		phase = now
+	}
 	d := ugraph.NewDelta(e.g)
 	if err := d.StageAll(updates); err != nil {
 		return nil, nil, fmt.Errorf("core: %w", err)
@@ -103,6 +135,7 @@ func (e *Engine) ApplyUpdates(updates []ugraph.ArcUpdate) (*Engine, *UpdateStats
 		TouchedHeads: len(heads),
 		Generation:   e.gen + 1,
 	}
+	lap(&stats.Phases.Compact)
 
 	// Row-cache carry-over. A cached entry holds rows 0..D for its
 	// source on the reversed graph; level k changes only if the source
@@ -117,10 +150,12 @@ func (e *Engine) ApplyUpdates(updates []ugraph.ArcUpdate) (*Engine, *UpdateStats
 			maxDepth = d
 		}
 	}
+	lap(&stats.Phases.RowCarry)
 	var dist []int32
 	if len(heads) > 0 && len(keys) > 0 {
 		dist = ugraph.BoundedDistances(heads, maxDepth, e.g, newG)
 	}
+	lap(&stats.Phases.EvictBFS)
 
 	// Touched-source set for downstream consumers (the subscription
 	// plane): a second BFS seeded only by the net-changed heads, run to
@@ -141,7 +176,8 @@ func (e *Engine) ApplyUpdates(updates []ugraph.ArcUpdate) (*Engine, *UpdateStats
 			}
 		}
 	}
-	newRows := cache.New[int, []matrix.Vec](e.opt.RowCacheSize)
+	lap(&stats.Phases.TouchBFS)
+	newRows := e.rows.Successor()
 	for i, src := range keys {
 		if dist != nil && dist[src] >= 0 && int(dist[src]) <= len(vals[i])-2 {
 			stats.RowsEvicted++
@@ -150,6 +186,7 @@ func (e *Engine) ApplyUpdates(updates []ugraph.ArcUpdate) (*Engine, *UpdateStats
 		newRows.Add(src, vals[i])
 		stats.RowsRetained++
 	}
+	lap(&stats.Phases.RowCarry)
 
 	// Filter-pool carry-over: patch only if the predecessor built them;
 	// otherwise the successor builds lazily on first SR-SP query, same
@@ -161,16 +198,17 @@ func (e *Engine) ApplyUpdates(updates []ugraph.ArcUpdate) (*Engine, *UpdateStats
 	e.filterMu.Unlock()
 	var newPoolU, newPoolV *speedup.Filters
 	if poolU != nil {
-		newPoolU = speedup.PatchFilters(poolU, newRev, heads, e.pool)
+		newPoolU = speedup.PatchFilters(poolU, newRev, heads, nil)
 		stats.FiltersPatched = true
 		stats.FilterVerticesRebuilt = len(heads)
 		if poolV == poolU {
 			newPoolV = newPoolU
 		} else {
-			newPoolV = speedup.PatchFilters(poolV, newRev, heads, e.pool)
+			newPoolV = speedup.PatchFilters(poolV, newRev, heads, nil)
 			stats.FilterVerticesRebuilt += len(heads)
 		}
 	}
+	lap(&stats.Phases.Filters)
 
 	stats.HorizonDepth = maxDepth
 	return &Engine{
@@ -187,5 +225,6 @@ func (e *Engine) ApplyUpdates(updates []ugraph.ArcUpdate) (*Engine, *UpdateStats
 		poolU:  newPoolU,
 		poolV:  newPoolV,
 		gen:    e.gen + 1,
+		kc:     e.kc,
 	}, stats, nil
 }

@@ -106,10 +106,7 @@ func AblationChoicePolicy(cfg Config) (*AblationResult, error) {
 	for k := 1; k <= n; k++ {
 		for v := int32(0); v < int32(g.NumVertices()); v++ {
 			exact := rows[k].At(v)
-			fixed := 0.0
-			if vec, ok := tab.Levels[k][v]; ok {
-				fixed = float64(vec.PopCount()) / N
-			}
+			fixed := float64(tab.PopCount(k, v)) / N
 			devFixed += abs(fixed - exact)
 			devReroll += abs(walks[k][v] - exact)
 			count++

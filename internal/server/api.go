@@ -238,7 +238,8 @@ type UpdateResponse struct {
 	RowsEvicted  int `json:"rows_evicted"`
 	RowsRetained int `json:"rows_retained"`
 	// FiltersPatched reports whether warm SR-SP filter pools were
-	// carried over (patched per touched vertex) rather than left to a
+	// carried over (each touched vertex invalidated, to be re-sampled
+	// by the first SR-SP query that reaches it) rather than left to a
 	// lazy from-scratch rebuild.
 	FiltersPatched bool `json:"filters_patched"`
 	// IndexRowsPatched is the number of vertices whose reverse-walk

@@ -45,6 +45,10 @@ func (s *Server) snapshot(pw *obs.PromWriter) StatsResponse {
 		ArcsUpdated: obs.Counter(pw, "usimrank_graph_arcs_updated_total", "Arc mutations applied by incremental updates.", s.arcsUpdated.Load()),
 		Source:      h.source,
 	}
+	f := pw.Family("usimrank_update_phase_seconds_total", "counter", "Wall time of incremental updates by write-path phase.")
+	for i, name := range updatePhases {
+		obs.Sample(f, []obs.Label{{Key: "phase", Value: name}}, time.Duration(s.updatePhaseNs[i].Load()).Seconds())
+	}
 	subs := SubscriptionStats(s.subs.Snapshot(pw))
 	st.Subscriptions = &subs
 
@@ -66,6 +70,7 @@ func (s *Server) snapshot(pw *obs.PromWriter) StatsResponse {
 	obs.Gauge(pw, "usimrank_kernel_arena_high_water_bytes", "Largest v2 walk-arena footprint observed.", ks.ArenaHighWaterBytes)
 	obs.Counter(pw, "usimrank_kernel_scratch_gets_total", "v2 scratch buffer pool checkouts.", ks.ScratchGets)
 	obs.Counter(pw, "usimrank_kernel_scratch_misses_total", "v2 scratch checkouts that had to build a fresh buffer.", ks.ScratchMisses)
+	obs.Counter(pw, "usimrank_kernel_filter_vertices_resampled_total", "SR-SP filter vertices re-sampled on first use after an update invalidated them.", ks.FilterVerticesResampled)
 
 	if h.idx != nil {
 		st.Index = &IndexStats{

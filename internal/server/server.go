@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"os"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -137,6 +138,9 @@ type Server struct {
 	indexRowsProbed    atomic.Uint64
 	indexResidualWalks atomic.Uint64
 	indexRowsPatched   atomic.Uint64
+	// updatePhaseNs accumulates the wall time of each write-path phase
+	// of the incremental updates, indexed like updatePhases.
+	updatePhaseNs [len(updatePhases)]atomic.Int64
 	// adminMu serialises every admin mutation — reloads AND incremental
 	// updates. Both paths load the current handle, derive or build a
 	// successor, and publish it; two of them interleaving would both
@@ -455,16 +459,25 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, resp)
 }
 
+// updatePhases names the write-path phases of an incremental update,
+// the label values of usimrank_update_phase_seconds_total: the engine's
+// (core.UpdatePhases, in order), then the index patch and the drain of
+// the old generation.
+var updatePhases = [...]string{"compact", "evict_bfs", "touch_bfs", "row_carry", "filters", "index_patch", "drain"}
+
 // ApplyUpdates applies a batch of arc mutations incrementally: a
 // successor engine is derived from the resident one — mutated CSR
 // compacted from the update overlay, row-cache entries outside the walk
 // horizon of every touched arc carried over warm, built SR-SP filter
-// pools patched per touched vertex — and swapped in exactly like a
-// reload: new handle published first, old engine drained by its pinned
-// requests. Queries admitted before the swap finish on the old
-// generation, queries admitted after it run on the new one, and the
-// coalescing keys' generation component keeps the two from ever
-// sharing a flight.
+// pools patched by invalidating each touched vertex (re-sampled by the
+// first SR-SP query that reaches it, never by the update) — and swapped
+// in exactly like a reload: new handle published first, old engine
+// drained by its pinned requests. Queries admitted before the swap
+// finish on the old generation, queries admitted after it run on the
+// new one, and the coalescing keys' generation component keeps the two
+// from ever sharing a flight. The update log line and
+// usimrank_update_phase_seconds_total split each update into the
+// engine's phases (UpdateStats.Phases), the index patch and the drain.
 //
 // Contrast with Reload: a reload rebuilds everything from a file
 // (cold caches, full filter build); an update touches only state the
@@ -487,10 +500,13 @@ func (s *Server) ApplyUpdates(ups []usimrank.ArcUpdate) (*UpdateResponse, error)
 	// old generation keeps serving, index included.
 	var idx *usimrank.Index
 	idxPatched := 0
+	var idxTime time.Duration
 	if old.idx != nil {
+		idxStart := time.Now()
 		if idx, idxPatched, err = usimrank.PatchIndex(old.idx, derived, old.graph, ups); err != nil {
 			return nil, fmt.Errorf("patch index: %w", err)
 		}
+		idxTime = time.Since(idxStart)
 		s.indexRowsPatched.Add(uint64(idxPatched))
 	}
 	applyMs := time.Since(applyStart).Milliseconds()
@@ -508,11 +524,19 @@ func (s *Server) ApplyUpdates(ups []usimrank.ArcUpdate) (*UpdateResponse, error)
 	// lookup per touched vertex. Woken after the swap is published, so a
 	// woken stream always finds the new generation current.
 	woken := s.subs.Wake(stats.TouchedSources, next.gen)
+	drainStart := time.Now()
 	drained := old.awaitDrain(s.cfg.DrainTimeout)
+	ph := stats.Phases
+	phases := [len(updatePhases)]time.Duration{ph.Compact, ph.EvictBFS, ph.TouchBFS, ph.RowCarry, ph.Filters, idxTime, time.Since(drainStart)}
+	var phaseLog strings.Builder
+	for i, d := range phases {
+		s.updatePhaseNs[i].Add(int64(d))
+		fmt.Fprintf(&phaseLog, " %s=%v", updatePhases[i], d.Round(time.Microsecond))
+	}
 	s.updates.Add(1)
 	s.arcsUpdated.Add(uint64(stats.Applied))
-	s.cfg.Logger.Printf("update: generation %d -> %d (%d arcs changed, rows evicted %d / retained %d, filters patched %v, index rows patched %d, apply %dms, drained=%v, subs woken=%d/%d touched)",
-		old.gen, next.gen, stats.Applied, stats.RowsEvicted, stats.RowsRetained, stats.FiltersPatched, idxPatched, applyMs, drained, woken, len(stats.TouchedSources))
+	s.cfg.Logger.Printf("update: generation %d -> %d (%d arcs changed, rows evicted %d / retained %d, filters patched %v, index rows patched %d, apply %dms, drained=%v, subs woken=%d/%d touched; phases%s)",
+		old.gen, next.gen, stats.Applied, stats.RowsEvicted, stats.RowsRetained, stats.FiltersPatched, idxPatched, applyMs, drained, woken, len(stats.TouchedSources), phaseLog.String())
 	return &UpdateResponse{
 		Generation:       next.gen,
 		Applied:          stats.Applied,

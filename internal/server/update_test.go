@@ -290,3 +290,64 @@ func TestHandlerAndWarmFilters(t *testing.T) {
 		t.Fatalf("healthz via Handler: %d %q", rec.Code, rec.Body.String())
 	}
 }
+
+// TestMetricCountersSurviveUpdates scrapes /metrics before and after
+// each of two incremental updates and requires every _total sample to
+// be non-decreasing: the engine's kernel and row-cache counters carry
+// over to the successor generation instead of restarting at zero. The
+// update phase family must report every phase.
+func TestMetricCountersSurviveUpdates(t *testing.T) {
+	g := testGraph()
+	s := newTestServer(t, Config{Engine: testOptions()})
+	u, v, p := firstArc(t, g)
+	for _, alg := range []string{"twophase", "srsp", "sampling_v2", "twophase"} {
+		if code := call(t, s, "POST", "/v1/score", ScoreRequest{Alg: alg, U: u, V: v}, nil); code != 200 {
+			t.Fatalf("%s score status %d", alg, code)
+		}
+	}
+	scrapes := []map[string]string{sampleValues(get(t, s, "/metrics"))}
+	for _, name := range []string{"usimrank_kernel_walks_total", "usimrank_kernel_arcs_instantiated_total", "usimrank_row_cache_hits_total", "usimrank_row_cache_misses_total"} {
+		if scrapes[0][name] == "0" {
+			t.Fatalf("%s is 0 before the updates; the test needs it live", name)
+		}
+	}
+	for _, np := range []float64{p / 2, p / 3} {
+		ups := []ArcUpdateRequest{{Op: "reweight", U: u, V: v, P: np}}
+		if code := call(t, s, "POST", "/v1/admin/update", UpdateRequest{Updates: ups}, nil); code != 200 {
+			t.Fatalf("/v1/admin/update status %d", code)
+		}
+		scrapes = append(scrapes, sampleValues(get(t, s, "/metrics")))
+	}
+	last := scrapes[len(scrapes)-1]
+	for _, phase := range updatePhases {
+		key := `usimrank_update_phase_seconds_total{phase="` + phase + `"}`
+		if _, ok := last[key]; !ok {
+			t.Errorf("%s missing after two updates", key)
+		}
+	}
+	if v := last[`usimrank_update_phase_seconds_total{phase="compact"}`]; v == "0" {
+		t.Errorf("two updates recorded no compaction time")
+	}
+	for i := 1; i < len(scrapes); i++ {
+		for key, before := range scrapes[i-1] {
+			if name, _, _ := strings.Cut(key, "{"); !strings.HasSuffix(name, "_total") {
+				continue
+			}
+			after, ok := scrapes[i][key]
+			if !ok {
+				t.Errorf("scrape %d: %s disappeared", i, key)
+				continue
+			}
+			var b, a float64
+			if _, err := fmt.Sscan(before, &b); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := fmt.Sscan(after, &a); err != nil {
+				t.Fatal(err)
+			}
+			if a < b {
+				t.Errorf("scrape %d: %s fell from %s to %s across an update", i, key, before, after)
+			}
+		}
+	}
+}

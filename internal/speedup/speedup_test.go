@@ -76,12 +76,11 @@ func TestPropagateDeterministicPath(t *testing.T) {
 	tab := Propagate(f, 0, 6)
 	wantAt := []int32{0, 1, 2, 0, 1, 2, 0}
 	for k := 0; k <= 6; k++ {
-		lvl := tab.Levels[k]
+		lvl := tab.Vertices(k)
 		if len(lvl) != 1 {
 			t.Fatalf("level %d has %d vertices", k, len(lvl))
 		}
-		vec, ok := lvl[wantAt[k]]
-		if !ok || vec.PopCount() != N {
+		if lvl[0] != wantAt[k] || tab.PopCount(k, wantAt[k]) != N {
 			t.Fatalf("level %d: expected all bits at %d", k, wantAt[k])
 		}
 	}
@@ -96,15 +95,12 @@ func TestPropagateDeadProcessesDisappear(t *testing.T) {
 	const N = 20000
 	f := BuildFilters(g, N, rng.New(11))
 	tab := Propagate(f, 0, 2)
-	alive := 0
-	if v := tab.Levels[1][1]; v != nil {
-		alive = v.PopCount()
-	}
+	alive := tab.PopCount(1, 1)
 	if math.Abs(float64(alive)/N-0.5) > 0.02 {
 		t.Fatalf("survivors %v, want ≈0.5", float64(alive)/N)
 	}
-	if len(tab.Levels[2]) != 0 {
-		t.Fatalf("level 2 should be empty, has %d vertices", len(tab.Levels[2]))
+	if len(tab.Vertices(2)) != 0 {
+		t.Fatalf("level 2 should be empty, has %d vertices", len(tab.Vertices(2)))
 	}
 }
 
@@ -180,8 +176,8 @@ func TestSharedPoolSelfPairIsDegenerate(t *testing.T) {
 	for k := 0; k <= n; k++ {
 		tab := Propagate(f, 2, n)
 		survive := 0
-		for _, vec := range tab.Levels[k] {
-			survive += vec.PopCount()
+		for _, w := range tab.Vertices(k) {
+			survive += tab.PopCount(k, w)
 		}
 		want := float64(survive) / N
 		if math.Abs(m[k]-want) > 1e-12 {
@@ -291,12 +287,13 @@ func TestPatchFiltersMatchesFreshBuild(t *testing.T) {
 		}
 
 		patched := PatchFilters(old, newG, touched, nil)
+		patched.Materialize(nil)
 		fresh := BuildFilters(newG, N, rng.New(42))
-		if patched.N != fresh.N || len(patched.arc) != len(fresh.arc) {
-			t.Fatalf("shape mismatch: N %d/%d arcs %d/%d", patched.N, fresh.N, len(patched.arc), len(fresh.arc))
+		if patched.N != fresh.N || patched.g.NumArcs() != fresh.g.NumArcs() {
+			t.Fatalf("shape mismatch: N %d/%d arcs %d/%d", patched.N, fresh.N, patched.g.NumArcs(), fresh.g.NumArcs())
 		}
-		for id := range fresh.arc {
-			pv, fv := patched.arc[id], fresh.arc[id]
+		for id := int32(0); id < int32(fresh.g.NumArcs()); id++ {
+			pv, fv := patched.Arc(id), fresh.Arc(id)
 			switch {
 			case pv == nil && fv == nil:
 			case pv == nil || fv == nil:
