@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"testing"
+	"time"
 
 	"usimrank"
 	"usimrank/internal/exp"
@@ -630,8 +631,11 @@ func benchWriteBatch(g *usimrank.Graph) []usimrank.ArcUpdate {
 // SR-SP filters warmed as -warm does, and one fixed batch of 16
 // distinct-arc reweights applied to the same warm engine each
 // iteration. The filter patch invalidates the touched heads and
-// re-samples nothing, so the time is compaction, the two BFS runs and
-// the row carry-over. Trajectory only, outside the bench gate.
+// re-samples nothing, so the time is compaction, the two BFS runs, the
+// row carry-over and the page clones of the filter patch; each is
+// reported in µs/op (compact_us, evict_bfs_us, touch_bfs_us,
+// row_carry_us, filters_us), the write path's per-phase unit.
+// Trajectory only, outside the bench gate.
 func BenchmarkUpdateBatchWarm(b *testing.B) {
 	g := gen.CoAuthorship(10_000, 2, rng.New(5))
 	e, err := usimrank.New(g, usimrank.Options{})
@@ -640,12 +644,22 @@ func BenchmarkUpdateBatchWarm(b *testing.B) {
 	}
 	e.WarmFilters()
 	ups := benchWriteBatch(g)
+	units := []string{"compact_us", "evict_bfs_us", "touch_bfs_us", "row_carry_us", "filters_us"}
+	var sum [5]time.Duration
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := e.ApplyUpdates(ups); err != nil {
+		_, st, err := e.ApplyUpdates(ups)
+		if err != nil {
 			b.Fatal(err)
 		}
+		ph := st.Phases
+		for j, d := range []time.Duration{ph.Compact, ph.EvictBFS, ph.TouchBFS, ph.RowCarry, ph.Filters} {
+			sum[j] += d
+		}
+	}
+	for j, unit := range units {
+		b.ReportMetric(float64(sum[j].Nanoseconds())/1e3/float64(b.N), unit)
 	}
 }
 

@@ -35,7 +35,7 @@ type LRU[K comparable, V any] struct {
 	items    map[K]*entry[K, V]
 	head     *entry[K, V] // most recently used
 	tail     *entry[K, V] // least recently used
-	ctr      *counters    // shared with every Successor
+	ctr      *counters    // shared with every cache Carry derives from it
 }
 
 // counters are an LRU lineage's lifetime totals.
@@ -57,16 +57,59 @@ func New[K comparable, V any](capacity int) *LRU[K, V] {
 	}
 }
 
-// Successor returns an empty LRU with c's capacity that continues c's
-// lifetime counters: hits, misses and evictions recorded by either
-// cache show in both, so totals read from the newest cache of a lineage
-// never drop when it replaces its predecessor.
-func (c *LRU[K, V]) Successor() *LRU[K, V] {
-	return &LRU[K, V]{
+// Range calls f for every entry, from most to least recently used,
+// under c's lock; f must not call back into c.
+func (c *LRU[K, V]) Range(f func(K, V)) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for e := c.head; e != nil; e = e.next {
+		f(e.key, e.val)
+	}
+}
+
+// Carry returns c's successor: an LRU with c's capacity that holds the
+// entries of c that keep accepts, in c's recency order, and continues
+// c's lifetime counters (see ContinueCounters), so totals read from the
+// newest cache of a lineage never drop when it replaces its
+// predecessor. It equals re-inserting Snapshot's accepted pairs in
+// order into an empty cache. It is built in one pass under c's lock:
+// the carried entries share one slab and the index is sized up front.
+// keep runs under the lock, once per entry from most to least recently
+// used, and must not call back into c.
+func (c *LRU[K, V]) Carry(keep func(K, V) bool) *LRU[K, V] {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	slab := make([]entry[K, V], 0, len(c.items))
+	for e := c.head; e != nil; e = e.next {
+		if keep(e.key, e.val) {
+			slab = append(slab, entry[K, V]{key: e.key, val: e.val})
+		}
+	}
+	succ := &LRU[K, V]{
 		capacity: c.capacity,
-		items:    make(map[K]*entry[K, V]),
+		items:    make(map[K]*entry[K, V], len(slab)),
 		ctr:      c.ctr,
 	}
+	for i := range slab {
+		e := &slab[i]
+		if i > 0 {
+			e.prev, slab[i-1].next = &slab[i-1], e
+		}
+		succ.items[e.key] = e
+	}
+	if len(slab) > 0 {
+		succ.head, succ.tail = &slab[0], &slab[len(slab)-1]
+	}
+	return succ
+}
+
+// ContinueCounters makes c's lifetime counters continue prev's: hits,
+// misses and evictions recorded by either cache then show in both.
+// Call it before c is shared.
+func (c *LRU[K, V]) ContinueCounters(prev *LRU[K, V]) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.ctr = prev.ctr
 }
 
 // unlink removes e from the recency list.
@@ -128,13 +171,18 @@ func (c *LRU[K, V]) Add(k K, v V) {
 		}
 		return
 	}
+	var e *entry[K, V]
 	if len(c.items) >= c.capacity {
-		lru := c.tail
-		c.unlink(lru)
-		delete(c.items, lru.key)
+		// Reuse the evicted entry: it may sit in a slab built by Carry,
+		// and overwriting it drops its reference to the evicted value.
+		e = c.tail
+		c.unlink(e)
+		delete(c.items, e.key)
 		c.ctr.evictions.Add(1)
+		*e = entry[K, V]{key: k, val: v}
+	} else {
+		e = &entry[K, V]{key: k, val: v}
 	}
-	e := &entry[K, V]{key: k, val: v}
 	c.items[k] = e
 	c.pushFront(e)
 }
@@ -151,10 +199,9 @@ func (c *LRU[K, V]) Cap() int { return c.capacity }
 
 // Snapshot returns the cache's entries in recency order, least recently
 // used first. Re-inserting the returned pairs in order into an empty
-// LRU reproduces the receiver's recency state exactly — the primitive
-// the engine's derive-on-update path uses to carry surviving row-cache
-// entries (minus the invalidated ones) into a successor engine. The
-// slices are fresh; the values are shared as stored.
+// LRU reproduces the receiver's recency state exactly (Carry does the
+// same for a filtered copy in one pass). The slices are fresh; the
+// values are shared as stored.
 func (c *LRU[K, V]) Snapshot() (keys []K, vals []V) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -168,7 +215,7 @@ func (c *LRU[K, V]) Snapshot() (keys []K, vals []V) {
 }
 
 // Evictions returns the number of entries evicted so far, across the
-// cache's lineage (see Successor) — the
+// cache's lineage (see Carry and ContinueCounters) — the
 // observable difference between bounded eviction and the old
 // wipe-everything reset, and a cheap thrash metric for callers sizing
 // RowCacheSize.

@@ -163,3 +163,75 @@ func TestSnapshotEmpty(t *testing.T) {
 		t.Fatalf("empty snapshot returned %v / %v", keys, vals)
 	}
 }
+
+// TestCarryMatchesFilteredReplay pins Carry to its definition: the
+// successor equals an empty cache with Snapshot's accepted pairs
+// re-added in order — same entries, same recency, same next victims —
+// and it shares the lineage counters.
+func TestCarryMatchesFilteredReplay(t *testing.T) {
+	c := New[int, string](8)
+	for k := 0; k < 8; k++ {
+		c.Add(k, fmt.Sprint("v", k))
+	}
+	c.Get(2)
+	c.Get(5)
+	c.Get(0)
+	keep := func(k int, _ string) bool { return k%3 != 1 }
+	var seen []int
+	c.Range(func(k int, _ string) { seen = append(seen, k) })
+	carried := c.Carry(keep)
+	replay := New[int, string](8)
+	keys, vals := c.Snapshot()
+	for i, k := range keys {
+		if seen[len(seen)-1-i] != k {
+			t.Fatalf("Range order %v is not Snapshot's %v reversed", seen, keys)
+		}
+		if keep(k, vals[i]) {
+			replay.Add(k, vals[i])
+		}
+	}
+	same := func(when string) {
+		t.Helper()
+		gk, gv := carried.Snapshot()
+		wk, wv := replay.Snapshot()
+		if fmt.Sprint(gk, gv) != fmt.Sprint(wk, wv) {
+			t.Fatalf("%s: carried %v %v, replayed %v %v", when, gk, gv, wk, wv)
+		}
+	}
+	same("after Carry")
+	for k := 20; k < 26; k++ { // past capacity: both evict the same victims
+		carried.Add(k, fmt.Sprint("w", k))
+		replay.Add(k, fmt.Sprint("w", k))
+		same(fmt.Sprintf("after adding %d", k))
+	}
+	carried.Get(20)
+	replay.Get(20)
+	same("after a promotion")
+	if _, ok := c.Get(99); ok {
+		t.Fatal("hit on a missing key")
+	}
+	h1, m1 := c.Counters()
+	h2, m2 := carried.Counters()
+	if h1 != h2 || m1 != m2 || c.Evictions() != carried.Evictions() || carried.Evictions() == 0 {
+		t.Fatalf("counters not shared: %d/%d/%d vs %d/%d/%d", h1, m1, c.Evictions(), h2, m2, carried.Evictions())
+	}
+}
+
+// TestContinueCounters: a fresh cache that continues another's lineage
+// starts at its totals, and both record into them afterwards.
+func TestContinueCounters(t *testing.T) {
+	prev := New[int, int](1)
+	prev.Add(1, 1)
+	prev.Add(2, 2) // one eviction
+	prev.Get(2)
+	prev.Get(1)
+	next := New[int, int](4)
+	next.ContinueCounters(prev)
+	if h, m := next.Counters(); h != 1 || m != 1 || next.Evictions() != 1 {
+		t.Fatalf("continued cache starts at %d hits, %d misses, %d evictions; want 1, 1, 1", h, m, next.Evictions())
+	}
+	next.Get(7)
+	if _, m := prev.Counters(); m != 2 {
+		t.Fatalf("a miss on the continuing cache left the lineage at %d misses, want 2", m)
+	}
+}

@@ -156,9 +156,14 @@ type Engine struct {
 
 	// kc aggregates lifetime kernel resource counts (walks sampled, v2
 	// arc instantiations, arena high-water) for the observability plane.
-	// ApplyUpdates successors share it, like the row cache's counters,
-	// so the lifetime totals never drop across a generation swap.
+	// ApplyUpdates successors, and engines that ContinueCounters from
+	// this one, share it, like the row cache's counters, so the lifetime
+	// totals never drop across a generation swap or a reload.
 	kc *kernelCounters
+	// filterBase is the filter re-sample count of the engines whose
+	// counters this one continues (see ContinueCounters); the count of
+	// its own pools' lineage adds to it.
+	filterBase uint64
 }
 
 // NewEngine validates opt and builds an engine for g.

@@ -64,13 +64,28 @@ func (e *Engine) KernelStats() KernelStats {
 	e.filterMu.Lock()
 	fu, fv := e.poolU, e.poolV
 	e.filterMu.Unlock()
+	ks.FilterVerticesResampled = e.filterBase
 	if fu != nil {
-		ks.FilterVerticesResampled = fu.Resampled()
+		ks.FilterVerticesResampled += fu.Resampled()
 		if fv != fu {
 			ks.FilterVerticesResampled += fv.Resampled()
 		}
 	}
 	return ks
+}
+
+// ContinueCounters makes e's lifetime counters continue prev's, as an
+// ApplyUpdates successor's do: kernel walks and arc instantiations, row
+// cache hits, misses and evictions, and filter re-samples. Those totals
+// read from e then never drop below prev's when e replaces it, as in a
+// serving plane's reload, which builds e from scratch. Work prev
+// records afterwards shows in both, except for filter re-samples, which
+// e takes over as a snapshot. The scratch pool's checkout counts stay
+// e's own. Call it before e serves a query.
+func (e *Engine) ContinueCounters(prev *Engine) {
+	e.filterBase = prev.KernelStats().FilterVerticesResampled
+	e.kc = prev.kc
+	e.rows.ContinueCounters(prev.rows)
 }
 
 // RowCacheCounters reports the shared row cache's lifetime hit/miss/

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"usimrank/internal/matrix"
 	"usimrank/internal/speedup"
 	"usimrank/internal/ugraph"
 )
@@ -65,7 +66,9 @@ type UpdateStats struct {
 // UpdatePhases are the wall times of ApplyUpdates' steps, in order.
 type UpdatePhases struct {
 	// Compact is delta staging plus CSR compaction of the mutated graph
-	// and its reverse.
+	// and its reverse: copies of the runs of untouched rows (of the
+	// probabilities alone when no row gains or loses an arc) and a
+	// merge of each patched row.
 	Compact time.Duration
 	// EvictBFS is the BoundedDistances run that decides row-cache
 	// eviction (zero when no head or no cached row exists).
@@ -75,8 +78,9 @@ type UpdatePhases struct {
 	TouchBFS time.Duration
 	// RowCarry is the carry-over of surviving row-cache entries.
 	RowCarry time.Duration
-	// Filters is the SR-SP filter invalidation, one O(|V|) table copy
-	// per built pool.
+	// Filters is the SR-SP filter invalidation: per built pool, a copy
+	// of the block table's page pointers and a clone of each page that
+	// holds a touched head.
 	Filters time.Duration
 }
 
@@ -97,13 +101,17 @@ func (e *Engine) Generation() uint64 { return e.gen }
 // the derived engine skips almost all of the rebuild:
 //
 //   - the mutated CSR and its reverse are compacted incrementally from
-//     the update overlay (O(|V|+|E|) copy, no re-sort);
+//     the update overlay (bulk copies of the untouched rows, no
+//     re-sort);
 //   - row-cache entries survive unless their source reaches a touched
-//     arc head within the cached walk horizon (a bounded BFS decides);
+//     arc head within the cached walk horizon (a bounded BFS decides,
+//     over the new graph alone unless the batch deletes an arc), and
+//     the survivors move to the successor's cache in one pass;
 //   - built SR-SP filter pools are patched per vertex: the vertices
-//     whose reversed out-row changed are invalidated, and re-sampled
-//     only when an SR-SP propagation first reaches them (or by
-//     WarmFilters), so an update re-samples no filter.
+//     whose reversed out-row changed are invalidated on cloned pages of
+//     the block table, and re-sampled only when an SR-SP propagation
+//     first reaches them (or by WarmFilters), so an update re-samples
+//     no filter.
 //
 // Every query on the derived engine is bit-identical to the same query
 // on a freshly built engine over the mutated graph with the same
@@ -129,6 +137,14 @@ func (e *Engine) ApplyUpdates(updates []ugraph.ArcUpdate) (*Engine, *UpdateStats
 	newG := d.Compact()
 	newRev := d.Reversed(e.rev).Compact()
 	heads := d.TouchedHeads()
+	// Both invalidation BFS runs follow the union of the old and new
+	// adjacency, so paths that exist only before or only after the batch
+	// count. Unless the batch deletes a base arc, every old arc is also a
+	// new one, and the union is the new graph alone.
+	union := []*ugraph.Graph{e.g, newG}
+	if !d.RemovesBaseArc() {
+		union = union[1:]
+	}
 
 	stats := &UpdateStats{
 		Applied:      d.NetChanges(),
@@ -140,20 +156,17 @@ func (e *Engine) ApplyUpdates(updates []ugraph.ArcUpdate) (*Engine, *UpdateStats
 	// Row-cache carry-over. A cached entry holds rows 0..D for its
 	// source on the reversed graph; level k changes only if the source
 	// reaches a touched head within k−1 steps of the original-direction
-	// graph (old or new — the BFS walks their union so deleted paths
-	// still count). Evict iff dist(src) ≤ D−1, i.e. some cached level
-	// is inside the horizon.
-	keys, vals := e.rows.Snapshot() // LRU → MRU order
-	maxDepth := 0
-	for _, rows := range vals {
-		if d := len(rows) - 2; d > maxDepth {
-			maxDepth = d
-		}
-	}
+	// graph. Evict iff dist(src) ≤ D−1, i.e. some cached level is
+	// inside the horizon.
+	maxDepth, cached := 0, 0
+	e.rows.Range(func(_ int, rows []matrix.Vec) {
+		maxDepth = max(maxDepth, len(rows)-2)
+		cached++
+	})
 	lap(&stats.Phases.RowCarry)
 	var dist []int32
-	if len(heads) > 0 && len(keys) > 0 {
-		dist = ugraph.BoundedDistances(heads, maxDepth, e.g, newG)
+	if len(heads) > 0 && cached > 0 {
+		dist = ugraph.BoundedDistances(heads, maxDepth, union...)
 	}
 	lap(&stats.Phases.EvictBFS)
 
@@ -165,27 +178,25 @@ func (e *Engine) ApplyUpdates(updates []ugraph.ArcUpdate) (*Engine, *UpdateStats
 	// while wake-ups must be precise (a netted-out batch changes no
 	// answer and must produce an empty set).
 	if netHeads := d.NetChangedHeads(); len(netHeads) > 0 {
-		horizon := e.opt.Steps - 1
-		if horizon < 0 {
-			horizon = 0
-		}
-		wdist := ugraph.BoundedDistances(netHeads, horizon, e.g, newG)
-		for v, dv := range wdist {
-			if dv >= 0 && int(dv) <= horizon {
+		horizon := max(e.opt.Steps-1, 0)
+		for v, dv := range ugraph.BoundedDistances(netHeads, horizon, union...) {
+			if dv >= 0 {
 				stats.TouchedSources = append(stats.TouchedSources, int32(v))
 			}
 		}
 	}
 	lap(&stats.Phases.TouchBFS)
-	newRows := e.rows.Successor()
-	for i, src := range keys {
-		if dist != nil && dist[src] >= 0 && int(dist[src]) <= len(vals[i])-2 {
+	// Rows that queries on the predecessor cached after the depth scan
+	// above are evicted unless the BFS reached deep enough to clear them.
+	newRows := e.rows.Carry(func(src int, rows []matrix.Vec) bool {
+		depth := len(rows) - 2
+		if len(heads) > 0 && (dist == nil || depth > maxDepth || (dist[src] >= 0 && int(dist[src]) <= depth)) {
 			stats.RowsEvicted++
-			continue
+			return false
 		}
-		newRows.Add(src, vals[i])
 		stats.RowsRetained++
-	}
+		return true
+	})
 	lap(&stats.Phases.RowCarry)
 
 	// Filter-pool carry-over: patch only if the predecessor built them;
@@ -198,13 +209,13 @@ func (e *Engine) ApplyUpdates(updates []ugraph.ArcUpdate) (*Engine, *UpdateStats
 	e.filterMu.Unlock()
 	var newPoolU, newPoolV *speedup.Filters
 	if poolU != nil {
-		newPoolU = speedup.PatchFilters(poolU, newRev, heads, nil)
+		newPoolU = speedup.PatchFilters(poolU, newRev, heads)
 		stats.FiltersPatched = true
 		stats.FilterVerticesRebuilt = len(heads)
 		if poolV == poolU {
 			newPoolV = newPoolU
 		} else {
-			newPoolV = speedup.PatchFilters(poolV, newRev, heads, nil)
+			newPoolV = speedup.PatchFilters(poolV, newRev, heads)
 			stats.FilterVerticesRebuilt += len(heads)
 		}
 	}
@@ -221,10 +232,11 @@ func (e *Engine) ApplyUpdates(updates []ugraph.ArcUpdate) (*Engine, *UpdateStats
 		// graph, so the successor rebuilds it lazily on first SamplingV2
 		// query; the scratch pool carries over — its buffers are sized by
 		// the options, not the graph.
-		v2pool: e.v2pool,
-		poolU:  newPoolU,
-		poolV:  newPoolV,
-		gen:    e.gen + 1,
-		kc:     e.kc,
+		v2pool:     e.v2pool,
+		poolU:      newPoolU,
+		poolV:      newPoolV,
+		gen:        e.gen + 1,
+		kc:         e.kc,
+		filterBase: e.filterBase,
 	}, stats, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"usimrank/internal/gen"
@@ -300,5 +301,169 @@ func TestMeetingSpeedupWrapper(t *testing.T) {
 	}
 	if _, err := e.MeetingSpeedup(-1, 0); err == nil {
 		t.Fatal("out-of-range source accepted")
+	}
+}
+
+// TestUpdateSetsMatchTwoGraphDistances pins the eviction and wake-up
+// sets of ApplyUpdates against the ground truth of a BoundedDistances
+// over both the old and the new graph, for a batch with a net delete
+// (which ApplyUpdates searches over both graphs), one without (which it
+// searches over the new graph alone) and one that nets out. Rows are
+// cached at three depths, so the eviction horizon differs per row.
+func TestUpdateSetsMatchTwoGraphDistances(t *testing.T) {
+	r := rng.New(2718)
+	g := randUGraph(r, 60, 0.04)
+	opt := Options{Steps: 5, N: 64, Seed: 3, Parallelism: 1, RowCacheSize: 128}
+	e, err := NewEngine(g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, K := range []int{1, 3, 5} {
+		var vs []int
+		for v := i; v < g.NumVertices(); v += 3 {
+			vs = append(vs, v)
+		}
+		if err := e.WarmRows(vs, K); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var present, absent [][2]int
+	for u := 0; u < g.NumVertices(); u++ {
+		for v := 0; v < g.NumVertices(); v++ {
+			if g.Prob(u, v) > 0 {
+				present = append(present, [2]int{u, v})
+			} else {
+				absent = append(absent, [2]int{u, v})
+			}
+		}
+	}
+	a, b, c := present[3], present[len(present)/2], absent[len(absent)/3]
+	pb := g.Prob(b[0], b[1])
+	batches := []struct {
+		name    string
+		removes bool
+		ups     []ugraph.ArcUpdate
+	}{
+		{"net delete", true, []ugraph.ArcUpdate{
+			{Op: ugraph.OpDelete, U: a[0], V: a[1]},
+			{Op: ugraph.OpReweight, U: b[0], V: b[1], P: pb / 2},
+			{Op: ugraph.OpInsert, U: c[0], V: c[1], P: 0.5},
+		}},
+		{"no delete", false, []ugraph.ArcUpdate{
+			{Op: ugraph.OpInsert, U: c[0], V: c[1], P: 0.5},
+			{Op: ugraph.OpReweight, U: b[0], V: b[1], P: pb / 2},
+			{Op: ugraph.OpDelete, U: a[0], V: a[1]},
+			{Op: ugraph.OpInsert, U: a[0], V: a[1], P: 0.25}, // re-inserted: a reweight on net
+		}},
+		{"nets out", false, []ugraph.ArcUpdate{
+			{Op: ugraph.OpInsert, U: c[0], V: c[1], P: 0.5},
+			{Op: ugraph.OpDelete, U: c[0], V: c[1]},
+			{Op: ugraph.OpReweight, U: b[0], V: b[1], P: pb / 2},
+			{Op: ugraph.OpReweight, U: b[0], V: b[1], P: pb},
+		}},
+	}
+	evictedAny := false
+	for _, bt := range batches {
+		d := ugraph.NewDelta(g)
+		if err := d.StageAll(bt.ups); err != nil {
+			t.Fatalf("%s: %v", bt.name, err)
+		}
+		if d.RemovesBaseArc() != bt.removes {
+			t.Fatalf("%s: RemovesBaseArc = %v, want %v", bt.name, !bt.removes, bt.removes)
+		}
+		newG := d.Compact()
+		keys, vals := e.rows.Snapshot()
+		maxDepth := 0
+		for _, rows := range vals {
+			maxDepth = max(maxDepth, len(rows)-2)
+		}
+		dist := ugraph.BoundedDistances(d.TouchedHeads(), maxDepth, g, newG)
+		var wantKept []int
+		wantEvicted := 0
+		for i, src := range keys {
+			if dist[src] >= 0 && int(dist[src]) <= len(vals[i])-2 {
+				wantEvicted++
+			} else {
+				wantKept = append(wantKept, src)
+			}
+		}
+		var wantTouched []int32
+		if net := d.NetChangedHeads(); len(net) > 0 {
+			for v, dv := range ugraph.BoundedDistances(net, opt.Steps-1, g, newG) {
+				if dv >= 0 {
+					wantTouched = append(wantTouched, int32(v))
+				}
+			}
+		}
+
+		succ, st, err := e.ApplyUpdates(bt.ups)
+		if err != nil {
+			t.Fatalf("%s: %v", bt.name, err)
+		}
+		if st.RowsEvicted != wantEvicted || st.RowsRetained != len(wantKept) {
+			t.Errorf("%s: evicted %d retained %d, two-graph distances give %d / %d",
+				bt.name, st.RowsEvicted, st.RowsRetained, wantEvicted, len(wantKept))
+		}
+		if gotKept, _ := succ.rows.Snapshot(); !slices.Equal(gotKept, wantKept) {
+			t.Errorf("%s: successor caches %v, want %v in that recency order", bt.name, gotKept, wantKept)
+		}
+		if !slices.Equal(st.TouchedSources, wantTouched) {
+			t.Errorf("%s: TouchedSources %v, two-graph distances give %v", bt.name, st.TouchedSources, wantTouched)
+		}
+		if bt.name == "nets out" && len(st.TouchedSources) != 0 {
+			t.Errorf("a batch that nets out touched %d sources", len(st.TouchedSources))
+		}
+		evictedAny = evictedAny || wantEvicted > 0
+	}
+	if !evictedAny {
+		t.Fatal("no batch evicted a row; the test graph is too sparse to pin anything")
+	}
+}
+
+// TestContinueCountersAcrossEngines: an engine built from scratch that
+// continues another's counters reads the same lifetime totals — walks,
+// arc instantiations, row-cache hits, misses and evictions, filter
+// re-samples — and keeps adding to them.
+func TestContinueCountersAcrossEngines(t *testing.T) {
+	g := randUGraph(rng.New(99), 16, 0.2)
+	opt := Options{Steps: 4, N: 96, Seed: 5, Parallelism: 1, RowCacheSize: 2}
+	prev, err := NewEngine(g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, alg := range []Algorithm{AlgTwoPhase, AlgSamplingV2, AlgSRSP, AlgTwoPhase} {
+		for v := 1; v < 5; v++ {
+			if _, err := prev.Compute(alg, 0, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ups := randomBatch(rng.New(3), g, 3)
+	succ, _, err := prev.ApplyUpdates(ups)
+	if err != nil {
+		t.Fatal(err)
+	}
+	succ.WarmFilters() // re-samples the invalidated heads
+	before, b := succ.KernelStats(), [3]uint64{}
+	b[0], b[1], b[2] = succ.RowCacheCounters()
+	if before.Walks == 0 || before.ArcsInstantiated == 0 || before.FilterVerticesResampled == 0 || b[0] == 0 || b[1] == 0 || b[2] == 0 {
+		t.Fatalf("counters not live before the swap: %+v, row cache %v", before, b)
+	}
+	next, err := NewEngine(succ.Graph(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next.ContinueCounters(succ)
+	after, a := next.KernelStats(), [3]uint64{}
+	a[0], a[1], a[2] = next.RowCacheCounters()
+	if after.Walks != before.Walks || after.ArcsInstantiated != before.ArcsInstantiated ||
+		after.FilterVerticesResampled != before.FilterVerticesResampled || a != b {
+		t.Fatalf("continued engine reads %+v, row cache %v; want %+v, %v", after, a, before, b)
+	}
+	if _, err := next.Compute(AlgTwoPhase, 2, 3); err != nil {
+		t.Fatal(err)
+	}
+	if ks := next.KernelStats(); ks.Walks <= after.Walks || ks.FilterVerticesResampled != after.FilterVerticesResampled {
+		t.Fatalf("after a query: %+v, want more walks than %d and %d re-samples", ks, after.Walks, after.FilterVerticesResampled)
 	}
 }

@@ -400,6 +400,9 @@ func (s *Server) Reload(path string, warm bool, indexPath string) (*ReloadRespon
 	buildMs := time.Since(buildStart).Milliseconds()
 
 	old := s.cur.Load()
+	// The engine is new but the node is not: its lifetime counters go on
+	// from the replaced engine's, as an update's successor's do.
+	eng.ContinueCounters(old.eng)
 	next := newEngineHandle(eng, g, path, old.gen+1, idx, nil)
 	s.cur.Store(next)
 	// Drop the server's ownership reference. The reload starts a new

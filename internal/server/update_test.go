@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -328,9 +329,17 @@ func TestMetricCountersSurviveUpdates(t *testing.T) {
 	if v := last[`usimrank_update_phase_seconds_total{phase="compact"}`]; v == "0" {
 		t.Errorf("two updates recorded no compaction time")
 	}
+	requireTotalsNonDecreasing(t, scrapes, "an update")
+}
+
+// requireTotalsNonDecreasing fails t for every _total sample that falls
+// or disappears between consecutive scrapes, except in the exempt
+// families; across names what happened between two scrapes.
+func requireTotalsNonDecreasing(t *testing.T, scrapes []map[string]string, across string, exempt ...string) {
+	t.Helper()
 	for i := 1; i < len(scrapes); i++ {
 		for key, before := range scrapes[i-1] {
-			if name, _, _ := strings.Cut(key, "{"); !strings.HasSuffix(name, "_total") {
+			if name, _, _ := strings.Cut(key, "{"); !strings.HasSuffix(name, "_total") || slices.Contains(exempt, name) {
 				continue
 			}
 			after, ok := scrapes[i][key]
@@ -346,8 +355,53 @@ func TestMetricCountersSurviveUpdates(t *testing.T) {
 				t.Fatal(err)
 			}
 			if a < b {
-				t.Errorf("scrape %d: %s fell from %s to %s across an update", i, key, before, after)
+				t.Errorf("scrape %d: %s fell from %s to %s across %s", i, key, before, after, across)
 			}
 		}
 	}
+}
+
+// TestMetricCountersSurviveReload is TestMetricCountersSurviveUpdates
+// with a reload step: /v1/admin/reload builds a fresh engine, which must
+// continue the replaced engine's lifetime counters — kernel walks and
+// arc instantiations, row-cache hits, misses and evictions, filter
+// re-samples — instead of restarting them at zero. The scratch pool is
+// the new engine's own, so its checkout counts restart.
+func TestMetricCountersSurviveReload(t *testing.T) {
+	g := testGraph()
+	path := writeGraphFile(t, g)
+	s := newTestServer(t, Config{Engine: testOptions()})
+	u, v, p := firstArc(t, g)
+	score := func(alg string, u, v int) {
+		t.Helper()
+		if code := call(t, s, "POST", "/v1/score", ScoreRequest{Alg: alg, U: u, V: v}, nil); code != 200 {
+			t.Fatalf("%s score status %d", alg, code)
+		}
+	}
+	for _, alg := range []string{"twophase", "srsp", "sampling_v2", "twophase"} {
+		score(alg, u, v)
+	}
+	// An update invalidates v's filters; an SR-SP query from v re-samples them.
+	ups := []ArcUpdateRequest{{Op: "reweight", U: u, V: v, P: p / 2}}
+	if code := call(t, s, "POST", "/v1/admin/update", UpdateRequest{Updates: ups}, nil); code != 200 {
+		t.Fatalf("/v1/admin/update status %d", code)
+	}
+	score("srsp", v, u)
+	scrapes := []map[string]string{sampleValues(get(t, s, "/metrics"))}
+	for _, name := range []string{"usimrank_kernel_walks_total", "usimrank_kernel_arcs_instantiated_total",
+		"usimrank_row_cache_hits_total", "usimrank_row_cache_misses_total", "usimrank_kernel_filter_vertices_resampled_total"} {
+		if scrapes[0][name] == "0" {
+			t.Fatalf("%s is 0 before the reload; the test needs it live", name)
+		}
+	}
+	for _, warm := range []bool{false, true} {
+		if code := call(t, s, "POST", "/v1/admin/reload", ReloadRequest{Graph: path, Warm: warm}, nil); code != 200 {
+			t.Fatalf("/v1/admin/reload status %d", code)
+		}
+		scrapes = append(scrapes, sampleValues(get(t, s, "/metrics")))
+		score("twophase", u, v)
+		scrapes = append(scrapes, sampleValues(get(t, s, "/metrics")))
+	}
+	requireTotalsNonDecreasing(t, scrapes, "a reload",
+		"usimrank_kernel_scratch_gets_total", "usimrank_kernel_scratch_misses_total")
 }

@@ -219,7 +219,7 @@ func TestChainedPatchesMatchFreshBuild(t *testing.T) {
 		for p := 0; p < 1+r.Intn(5); p++ {
 			var touched []int32
 			g, touched = randPatchBatch(t, r, g)
-			f = PatchFilters(f, g, touched, nil)
+			f = PatchFilters(f, g, touched)
 			for _, w := range touched {
 				invalid[w] = true
 			}
@@ -268,7 +268,7 @@ func TestConcurrentResampleAgrees(t *testing.T) {
 	for _, w := range []int32{0, 1, 2, 3} { // extra heads are allowed
 		touched = append(touched, w)
 	}
-	serial := PatchFilters(base, newG, touched, nil)
+	serial := PatchFilters(base, newG, touched)
 	want := make([]*Tables, newG.NumVertices())
 	for src := range want {
 		want[src] = Propagate(serial, src, 5)
@@ -278,7 +278,7 @@ func TestConcurrentResampleAgrees(t *testing.T) {
 		distinct[w] = true
 	}
 	for round := 0; round < 4; round++ {
-		racing := PatchFilters(base, newG, touched, nil)
+		racing := PatchFilters(base, newG, touched)
 		before := racing.Resampled() // the count is shared with serial's lineage
 		var wg sync.WaitGroup
 		errs := make([]error, 8)
@@ -356,5 +356,116 @@ func TestWarmPropagationAllocatesNothing(t *testing.T) {
 		if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
 			t.Errorf("N=%d: warm propagation makes %v allocations, want 0", N, allocs)
 		}
+	}
+}
+
+// mutateRows returns g with the out-row of every vertex in ws changed:
+// its first arc, if any, reweighted, and an arc to its first absent
+// head inserted.
+func mutateRows(t *testing.T, g *ugraph.Graph, ws []int32) *ugraph.Graph {
+	t.Helper()
+	d := ugraph.NewDelta(g)
+	for _, w := range ws {
+		u := int(w)
+		if row := g.Out(u); len(row) > 0 {
+			if err := d.Stage(ugraph.ArcUpdate{Op: ugraph.OpReweight, U: u, V: int(row[0]), P: 0.5 + g.OutProbs(u)[0]/4}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for v := 0; v < g.NumVertices(); v++ {
+			if d.Prob(u, v) == 0 {
+				if err := d.Stage(ugraph.ArcUpdate{Op: ugraph.OpInsert, U: u, V: v, P: 0.75}); err != nil {
+					t.Fatal(err)
+				}
+				break
+			}
+		}
+	}
+	return d.Compact()
+}
+
+// TestPatchesCloneOnlyTouchedPages chains three patches over a graph of
+// four block-table pages: the first touches two vertices on page 0 and
+// vertex 70 on page 1, the next two touch pages 2 and 0, so page 1,
+// with 70 invalid on it, is shared by generations 1, 2 and 3. Several
+// goroutines then re-sample 70 from generations 1 and 3 at once, which
+// publishes one block into the shared page. Every table and, after
+// Materialize, every filter of every generation must equal a fresh
+// build of its graph bit for bit.
+func TestPatchesCloneOnlyTouchedPages(t *testing.T) {
+	const n, N, steps = 200, 130, 4
+	r := rng.New(1414)
+	b := ugraph.NewBuilder(n)
+	for u := 0; u < n; u++ {
+		for v := 0; v < n; v++ {
+			if r.Bool(0.03) || v == (u*7+1)%n { // every row non-empty
+				p := 0.05 + 0.95*r.Float64()
+				if r.Bool(0.2) {
+					p = 1
+				}
+				b.AddArc(u, v, p)
+			}
+		}
+	}
+	gs := []*ugraph.Graph{b.MustBuild()}
+	fs := []*Filters{BuildFilters(gs[0], N, rng.New(77))}
+	for _, ws := range [][]int32{{5, 9, 70}, {140}, {10}} {
+		g := mutateRows(t, gs[len(gs)-1], ws)
+		gs, fs = append(gs, g), append(fs, PatchFilters(fs[len(fs)-1], g, ws))
+	}
+	if len(fs[0].pages) != 4 {
+		t.Fatalf("%d pages for %d vertices, want 4", len(fs[0].pages), n)
+	}
+	for i, want := range []struct{ cloned, shared []int }{
+		{[]int{0, 1}, []int{2, 3}}, // generation 1 against 0
+		{[]int{2}, []int{0, 1, 3}},
+		{[]int{0}, []int{1, 2, 3}},
+	} {
+		for _, p := range want.cloned {
+			if fs[i+1].pages[p] == fs[i].pages[p] {
+				t.Errorf("generation %d shares page %d, which holds a touched vertex", i+1, p)
+			}
+		}
+		for _, p := range want.shared {
+			if fs[i+1].pages[p] != fs[i].pages[p] {
+				t.Errorf("generation %d cloned page %d, which holds no touched vertex", i+1, p)
+			}
+		}
+	}
+	for _, w := range []int32{5, 9, 70} {
+		if fs[1].slot(w).Load() != nil {
+			t.Errorf("vertex %d still valid after its patch", w)
+		}
+	}
+
+	want := make([][]*bitvec.Vector, len(gs))
+	for i, g := range gs {
+		want[i] = referenceBuild(g, N, rng.New(77))
+	}
+	const racers = 4
+	gens := []int{1, 3}
+	tabs := make([]*Tables, racers*len(gens))
+	var wg sync.WaitGroup
+	for i := range tabs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tabs[i] = Propagate(fs[gens[i%len(gens)]], 70, steps)
+		}()
+	}
+	wg.Wait()
+	for i, tab := range tabs {
+		gen := gens[i%len(gens)]
+		requireSameTables(t, fmt.Sprintf("generation %d racer %d", gen, i), tab, referencePropagate(gs[gen], want[gen], N, 70, steps))
+	}
+	blk := fs[1].slot(70).Load()
+	if blk == nil || fs[2].slot(70).Load() != blk || fs[3].slot(70).Load() != blk {
+		t.Fatal("the shared page does not hold one published block for vertex 70 in all three generations")
+	}
+	for i, f := range fs {
+		src := []int{0, 9, 70, 140}[i]
+		requireSameTables(t, fmt.Sprintf("generation %d src %d", i, src), Propagate(f, src, steps), referencePropagate(gs[i], want[i], N, src, steps))
+		f.Materialize(nil)
+		requireSameFilters(t, fmt.Sprintf("generation %d", i), f, want[i])
 	}
 }

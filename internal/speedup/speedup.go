@@ -19,8 +19,10 @@
 // independent (matches the Sampling algorithm's independence) pairing.
 //
 // Storage. A pool keeps one block of words per vertex (its out-arcs'
-// filters, see Filters), and a patched pool re-samples a changed vertex
-// only when a propagation first reaches it. Propagation runs on pooled
+// filters, see Filters) in a table of fixed-size pages. A patched pool
+// clones only the pages that hold a changed vertex, shares every other
+// page with its predecessor, and re-samples a changed vertex only when
+// a propagation first reaches it. Propagation runs on pooled
 // dense frontiers (Tables, Scratch): each level is a sorted vertex list
 // plus one word slab, so a warmed propagation and the estimate's
 // merge-join allocate nothing. OR and AND commute and the popcount sums
@@ -43,19 +45,24 @@ import (
 // Filters holds the N-bit filter vectors of one sampling pool, stored per
 // vertex: vertex w's block is OutDegree(w)·⌈N/64⌉ words, the filter of
 // its j-th out-arc at words [j·⌈N/64⌉, (j+1)·⌈N/64⌉). A full build carves
-// every block from one slab. A patched pool shares its predecessor's
-// blocks for unchanged rows and leaves changed rows invalid; the first
-// propagation that reaches an invalid vertex re-samples it from its
-// retained seed, bit-identical to a fresh build, and publishes the block
-// with a compare-and-swap, so racing builders agree on one block. A
-// Filters is safe for concurrent use.
+// every block from one slab. The block pointers live in pages of
+// pageSize vertices. A patched pool clones the pages that hold a
+// changed row, leaving the changed rows invalid, and shares every other
+// page with its predecessor; the first propagation that reaches an
+// invalid vertex re-samples it from its retained seed, bit-identical to
+// a fresh build, and publishes the block with a compare-and-swap, so
+// racing builders agree on one block. A compare-and-swap into a shared
+// page publishes the block to every pool that shares the page, which is
+// sound because no vertex on a shared page changed its row between
+// them. A Filters is safe for concurrent use.
 type Filters struct {
 	N     int
 	words int // ⌈N/64⌉, the length of one filter
 	g     *ugraph.Graph
-	// blocks[w] is w's filter block; nil while a patch has left w
-	// invalid, and for rows without arcs, which no propagation reads.
-	blocks []atomic.Pointer[[]uint64]
+	// pages[w>>pageBits][w&pageMask] is w's filter block; nil while a
+	// patch has left w invalid, and for rows without arcs, which no
+	// propagation reads.
+	pages []*page
 	// seeds[w] is the RNG seed vertex w's filters are sampled from. It
 	// is retained so an invalidated vertex re-samples bit-identically to
 	// a from-scratch build of the mutated graph.
@@ -67,6 +74,33 @@ type Filters struct {
 	// resampled counts the invalidated vertices re-sampled on first
 	// use, shared by every pool patched from the same build.
 	resampled *atomic.Uint64
+}
+
+// pageBits sets the block table's page size: a patch clones one page of
+// pageSize block pointers per page that holds a touched vertex.
+const (
+	pageBits = 6
+	pageSize = 1 << pageBits
+	pageMask = pageSize - 1
+)
+
+// page is one fixed-size slice of a pool's block table.
+type page [pageSize]atomic.Pointer[[]uint64]
+
+// newPages returns an empty block table for nv vertices, its pages
+// carved from one slab.
+func newPages(nv int) []*page {
+	slab := make([]page, (nv+pageMask)>>pageBits)
+	pages := make([]*page, len(slab))
+	for i := range slab {
+		pages[i] = &slab[i]
+	}
+	return pages
+}
+
+// slot returns the table entry that holds w's block.
+func (f *Filters) slot(w int32) *atomic.Pointer[[]uint64] {
+	return &f.pages[w>>pageBits][w&pageMask]
 }
 
 // certain is the flip threshold of a p = 1 arc, which draws nothing.
@@ -120,7 +154,7 @@ func BuildFiltersPool(g *ugraph.Graph, N int, r *rng.RNG, pool *parallel.Pool) *
 	}
 	f := &Filters{
 		N: N, words: (N + 63) / 64, g: g,
-		blocks:    make([]atomic.Pointer[[]uint64], nv),
+		pages:     newPages(nv),
 		seeds:     seeds,
 		rej:       rejections(maxDeg),
 		resampled: new(atomic.Uint64),
@@ -136,7 +170,7 @@ func BuildFiltersPool(g *ugraph.Graph, N int, r *rng.RNG, pool *parallel.Pool) *
 		}
 		rows[w] = slab[int(lo)*W : int(hi)*W : int(hi)*W]
 		f.sample(w, thr[lo:hi], rows[w])
-		f.blocks[w].Store(&rows[w])
+		f.slot(int32(w)).Store(&rows[w])
 	})
 	return f
 }
@@ -190,25 +224,26 @@ func (f *Filters) sample(w int, thr, b []uint64) {
 // block returns w's filter block, re-sampling it first if a patch left
 // it invalid. w must have out-arcs.
 func (f *Filters) block(w int32) []uint64 {
-	if b := f.blocks[w].Load(); b != nil {
+	slot := f.slot(w)
+	if b := slot.Load(); b != nil {
 		return *b
 	}
 	deg := f.g.OutDegree(int(w))
 	b := make([]uint64, deg*f.words)
 	f.sample(int(w), make([]uint64, deg), b)
-	if f.blocks[w].CompareAndSwap(nil, &b) {
+	if slot.CompareAndSwap(nil, &b) {
 		f.resampled.Add(1)
 		return b
 	}
-	return *f.blocks[w].Load() // a racing builder published the same bits first
+	return *slot.Load() // a racing builder published the same bits first
 }
 
 // Materialize re-samples every vertex a patch left invalid, fanned out
 // over pool (nil runs inline), so no later propagation builds filters.
 func (f *Filters) Materialize(pool *parallel.Pool) {
 	var stale []int32
-	for w := range f.blocks {
-		if f.blocks[w].Load() == nil && f.g.OutDegree(w) > 0 {
+	for w := range f.g.NumVertices() {
+		if f.slot(int32(w)).Load() == nil && f.g.OutDegree(w) > 0 {
 			stale = append(stale, int32(w))
 		}
 	}
@@ -224,41 +259,56 @@ func (f *Filters) Resampled() uint64 { return f.resampled.Load() }
 // PatchFilters derives the filter pool of a mutated graph from the pool
 // of its predecessor. newG must have the same vertex count as old's
 // graph; touched lists the vertices whose out-arc row differs between
-// the two (extra vertices are allowed — invalidating an unchanged row
-// costs a re-sample, never a wrong bit). Untouched rows share their
-// (immutable) blocks with the old pool, or stay invalid if they were;
-// touched rows are invalidated and re-sampled from their retained seeds
-// by the first propagation that reaches them (or by Materialize). The
-// patch itself is an O(|V|) table copy that samples nothing, so the
-// pool argument is unused.
+// the two, in any order (extra vertices are allowed — invalidating an
+// unchanged row costs a re-sample, never a wrong bit). It panics if an
+// unlisted vertex's out-degree changed. The patch clones each page of
+// old's block table that holds a touched vertex, invalidates the
+// touched vertices there, and shares every other page, whose (immutable)
+// blocks, or invalid entries, stay as they were. It samples nothing:
+// the first propagation that reaches an invalidated vertex re-samples it
+// from its retained seed (or Materialize does). Its cost is a copy of
+// the page pointers, one page per touched page and a scan of the two
+// graphs' out-degrees.
 //
 // The result is bit-identical to BuildFiltersPool on newG with the same
 // root RNG: the per-vertex seed sequence depends only on the vertex
 // count, and each vertex's filters depend only on (seed, arc row).
-func PatchFilters(old *Filters, newG *ugraph.Graph, touched []int32, _ *parallel.Pool) *Filters {
+func PatchFilters(old *Filters, newG *ugraph.Graph, touched []int32) *Filters {
 	nv := newG.NumVertices()
 	if nv != old.g.NumVertices() {
 		panic(fmt.Sprintf("speedup: patch across vertex counts %d -> %d", old.g.NumVertices(), nv))
 	}
+	ts := slices.Clone(touched)
+	slices.Sort(ts)
+	ts = slices.Compact(ts)
+	lo := 0
+	for _, w := range append(ts, int32(nv)) {
+		if !old.g.SameDegrees(newG, lo, int(w)) {
+			for x := lo; x < int(w); x++ {
+				if od, nd := old.g.OutDegree(x), newG.OutDegree(x); od != nd {
+					panic(fmt.Sprintf("speedup: vertex %d row changed (%d -> %d arcs) but not marked touched", x, od, nd))
+				}
+			}
+		}
+		lo = int(w) + 1
+	}
 	f := &Filters{
 		N: old.N, words: old.words, g: newG,
-		blocks:    make([]atomic.Pointer[[]uint64], nv),
+		pages:     slices.Clone(old.pages),
 		seeds:     old.seeds,
 		rej:       old.rej,
 		resampled: old.resampled,
 	}
-	isTouched := make([]bool, nv)
-	for _, w := range touched {
-		isTouched[w] = true
-	}
-	for w := 0; w < nv; w++ {
-		if isTouched[w] {
-			continue
+	for i, w := range ts {
+		pi := w >> pageBits
+		if i == 0 || ts[i-1]>>pageBits != pi { // the page's first touched vertex: clone it
+			from, to := old.pages[pi], new(page)
+			for j := range to {
+				to[j].Store(from[j].Load())
+			}
+			f.pages[pi] = to
 		}
-		if od, nd := old.g.OutDegree(w), newG.OutDegree(w); od != nd {
-			panic(fmt.Sprintf("speedup: vertex %d row changed (%d -> %d arcs) but not marked touched", w, od, nd))
-		}
-		f.blocks[w].Store(old.blocks[w].Load())
+		f.pages[pi][w&pageMask].Store(nil)
 	}
 	return f
 }

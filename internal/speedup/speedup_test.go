@@ -286,7 +286,7 @@ func TestPatchFiltersMatchesFreshBuild(t *testing.T) {
 			touched = append(touched, w)
 		}
 
-		patched := PatchFilters(old, newG, touched, nil)
+		patched := PatchFilters(old, newG, touched)
 		patched.Materialize(nil)
 		fresh := BuildFilters(newG, N, rng.New(42))
 		if patched.N != fresh.N || patched.g.NumArcs() != fresh.g.NumArcs() {
@@ -321,5 +321,5 @@ func TestPatchFiltersPanicsOnUnmarkedRowChange(t *testing.T) {
 			t.Fatal("no panic on unmarked row-length change")
 		}
 	}()
-	PatchFilters(old, newG, nil, nil) // vertex 0 grew a row arc but is not marked
+	PatchFilters(old, newG, nil) // vertex 0 grew a row arc but is not marked
 }

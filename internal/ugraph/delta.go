@@ -1,8 +1,10 @@
 package ugraph
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -78,6 +80,11 @@ type arcState struct {
 type Delta struct {
 	base   *Graph
 	staged map[[2]int32]arcState
+	// arcs is the overlay's arc count minus the base's, and baseDeletes
+	// the number of base arcs whose staged state is absent. Stage keeps
+	// both as it validates each update, so NumArcs, RemovesBaseArc and
+	// Compact need no pass over the staged arcs to know them.
+	arcs, baseDeletes int
 }
 
 // NewDelta returns an empty overlay on base.
@@ -113,11 +120,19 @@ func (d *Delta) Stage(up ArcUpdate) error {
 		if !(up.P > 0 && up.P <= 1) {
 			return fmt.Errorf("ugraph: insert (%d,%d): probability %v outside (0,1]", up.U, up.V, up.P)
 		}
+		if d.base.Prob(up.U, up.V) > 0 { // undoes a staged delete of a base arc
+			d.baseDeletes--
+		}
+		d.arcs++
 		d.staged[key] = arcState{exists: true, p: up.P}
 	case OpDelete:
 		if !cur.exists {
 			return fmt.Errorf("ugraph: delete (%d,%d): no such arc", up.U, up.V)
 		}
+		if d.base.Prob(up.U, up.V) > 0 {
+			d.baseDeletes++
+		}
+		d.arcs--
 		d.staged[key] = arcState{exists: false}
 	case OpReweight:
 		if !cur.exists {
@@ -190,6 +205,13 @@ func (d *Delta) NetChangedHeads() []int32 {
 	return heads
 }
 
+// RemovesBaseArc reports whether the overlay deletes an arc of the base
+// graph: some staged state is absent where the base has the arc. When
+// it does not, every base arc survives into Compact's graph, so the
+// union of the old and new adjacency is the new graph's alone and a
+// BoundedDistances over both graphs can pass the new one only.
+func (d *Delta) RemovesBaseArc() bool { return d.baseDeletes > 0 }
+
 // Base returns the graph the overlay is staged over.
 func (d *Delta) Base() *Graph { return d.base }
 
@@ -207,18 +229,7 @@ func (d *Delta) Prob(u, v int) float64 {
 }
 
 // NumArcs returns the overlay view of the arc count.
-func (d *Delta) NumArcs() int {
-	m := d.base.NumArcs()
-	for key, st := range d.staged {
-		had := d.base.Prob(int(key[0]), int(key[1])) > 0
-		if st.exists && !had {
-			m++
-		} else if !st.exists && had {
-			m--
-		}
-	}
-	return m
-}
+func (d *Delta) NumArcs() int { return d.base.NumArcs() + d.arcs }
 
 // OutArcs returns the overlay view of u's out-neighbours and their
 // probabilities, sorted by target. The result is read-only: for a
@@ -286,90 +297,107 @@ func (d *Delta) TouchedHeads() []int32 {
 // (v, u). The mirror needs no re-validation — arc (u, v) exists in a
 // graph iff (v, u) exists in its reverse.
 func (d *Delta) Reversed(revBase *Graph) *Delta {
-	rd := &Delta{base: revBase, staged: make(map[[2]int32]arcState, len(d.staged))}
+	rd := &Delta{base: revBase, staged: make(map[[2]int32]arcState, len(d.staged)), arcs: d.arcs, baseDeletes: d.baseDeletes}
 	for key, st := range d.staged {
 		rd.staged[[2]int32{key[1], key[0]}] = st
 	}
 	return rd
 }
 
-// Compact folds the overlay into a fresh immutable CSR Graph. Untouched
-// rows are block-copied; touched rows are merge-rewritten in sorted
-// order, so the result is byte-identical to rebuilding the mutated
-// graph from scratch with a Builder. Cost: O(|V| + |E| + staged·log).
+// Compact folds the overlay into a fresh immutable CSR Graph. The
+// staged patches are sorted once by (tail, head), so every patched row
+// is one contiguous run of them: each stretch of untouched rows between
+// two patched ones is a single copy of its arcs plus a constant shift
+// of its offsets, and each patched row merges its old sorted row with
+// its patches. The result is byte-identical to rebuilding the mutated
+// graph from scratch with a Builder. Cost: bulk copies of the CSR
+// arrays, plus a sort of the staged arcs and a merge of each patched
+// row.
 func (d *Delta) Compact() *Graph {
-	// Per-row staged patches, sorted by target within each row.
-	type patch struct {
-		v  int32
-		st arcState
-	}
-	rows := make(map[int32][]patch, len(d.staged))
+	ps := make([]patch, 0, len(d.staged))
 	for key, st := range d.staged {
-		rows[key[0]] = append(rows[key[0]], patch{v: key[1], st: st})
+		ps = append(ps, patch{u: key[0], v: key[1], st: st})
 	}
-	for _, ps := range rows {
-		sort.Slice(ps, func(i, j int) bool { return ps[i].v < ps[j].v })
-	}
-
-	b := d.base
-	g := &Graph{n: b.n, outOff: make([]int32, b.n+1)}
-	// Pass 1: new row lengths.
-	for u := 0; u < b.n; u++ {
-		deg := b.OutDegree(u)
-		for _, p := range rows[int32(u)] {
-			had := b.Prob(u, int(p.v)) > 0
-			if p.st.exists && !had {
-				deg++
-			} else if !p.st.exists && had {
-				deg--
-			}
+	slices.SortFunc(ps, func(a, b patch) int {
+		if a.u != b.u {
+			return cmp.Compare(a.u, b.u)
 		}
-		g.outOff[u+1] = g.outOff[u] + int32(deg)
-	}
-	m := int(g.outOff[b.n])
-	g.outDst = make([]int32, m)
-	g.outP = make([]float64, m)
-	// Pass 2: fill rows. Untouched rows copy; touched rows merge the old
-	// sorted row with the sorted patch list.
-	for u := 0; u < b.n; u++ {
-		out := g.outDst[g.outOff[u]:g.outOff[u+1]]
-		outP := g.outP[g.outOff[u]:g.outOff[u+1]]
-		oldDst := b.Out(u)
-		oldP := b.OutProbs(u)
-		ps := rows[int32(u)]
-		if len(ps) == 0 {
-			copy(out, oldDst)
-			copy(outP, oldP)
-			continue
+		return cmp.Compare(a.v, b.v)
+	})
+	b, m := d.base, d.NumArcs()
+	g := &Graph{n: b.n, outOff: make([]int32, b.n+1), outDst: make([]int32, m), outP: make([]float64, m)}
+	next := 0 // first row not written yet; g.outOff[next] is set
+	for i := 0; i < len(ps); {
+		u := int(ps[i].u)
+		j := i + 1
+		for j < len(ps) && ps[j].u == ps[i].u {
+			j++
 		}
-		w := 0
-		i, j := 0, 0
-		for i < len(oldDst) || j < len(ps) {
-			switch {
-			case j == len(ps) || (i < len(oldDst) && oldDst[i] < ps[j].v):
-				out[w], outP[w] = oldDst[i], oldP[i]
-				w++
-				i++
-			case i == len(oldDst) || ps[j].v < oldDst[i]:
-				// Arc absent from the old row: a staged insert lands
-				// here; a net-absent state (insert later undone by a
-				// staged delete) is a no-op.
-				if ps[j].st.exists {
-					out[w], outP[w] = ps[j].v, ps[j].st.p
-					w++
-				}
-				j++
-			default: // same target: replace or drop
-				if ps[j].st.exists {
-					out[w], outP[w] = oldDst[i], ps[j].st.p
-					w++
-				}
-				i++
-				j++
-			}
-		}
+		g.copyRows(b, next, u)
+		g.mergeRow(b, u, ps[i:j])
+		next, i = u+1, j
 	}
+	g.copyRows(b, next, b.n)
 	return g
+}
+
+// patch is one staged arc state, keyed by its tail u and head v.
+type patch struct {
+	u, v int32
+	st   arcState
+}
+
+// copyRows fills rows lo..hi−1 of g from the same rows of b, which no
+// patch touches: one copy of their arcs and their offsets shifted by
+// the constant g.outOff[lo] − b.outOff[lo].
+func (g *Graph) copyRows(b *Graph, lo, hi int) {
+	if lo >= hi {
+		return
+	}
+	w, r0, r1 := g.outOff[lo], b.outOff[lo], b.outOff[hi]
+	copy(g.outDst[w:], b.outDst[r0:r1])
+	copy(g.outP[w:], b.outP[r0:r1])
+	dst, src := g.outOff[lo+1:hi+1], b.outOff[lo+1:hi+1]
+	if shift := w - r0; shift == 0 {
+		copy(dst, src)
+	} else {
+		for x, off := range src {
+			dst[x] = off + shift
+		}
+	}
+}
+
+// mergeRow fills row u of g by merging b's sorted row u with ps, the
+// row's staged patches sorted by head, and sets g.outOff[u+1].
+func (g *Graph) mergeRow(b *Graph, u int, ps []patch) {
+	oldDst, oldP := b.Out(u), b.OutProbs(u)
+	w := g.outOff[u]
+	i, j := 0, 0
+	for i < len(oldDst) || j < len(ps) {
+		switch {
+		case j == len(ps) || (i < len(oldDst) && oldDst[i] < ps[j].v):
+			g.outDst[w], g.outP[w] = oldDst[i], oldP[i]
+			w++
+			i++
+		case i == len(oldDst) || ps[j].v < oldDst[i]:
+			// Arc absent from the old row: a staged insert lands
+			// here; a net-absent state (insert later undone by a
+			// staged delete) is a no-op.
+			if ps[j].st.exists {
+				g.outDst[w], g.outP[w] = ps[j].v, ps[j].st.p
+				w++
+			}
+			j++
+		default: // same target: replace or drop
+			if ps[j].st.exists {
+				g.outDst[w], g.outP[w] = oldDst[i], ps[j].st.p
+				w++
+			}
+			i++
+			j++
+		}
+	}
+	g.outOff[u+1] = w
 }
 
 // Apply is the one-shot form: stage every update on g and compact.
@@ -387,7 +415,9 @@ func (g *Graph) Apply(ups []ArcUpdate) (*Graph, error) {
 // such path (0 for a start vertex) or -1 when v is not reachable within
 // maxDepth. Passing both the pre- and post-mutation graphs makes the
 // reach set conservative across the mutation: a path that existed only
-// before, or only after, still counts.
+// before, or only after, still counts. When the mutation removed no arc
+// (see Delta.RemovesBaseArc), the post-mutation graph alone is that
+// union.
 //
 // This is the invalidation frontier of the dynamic update plane: a
 // source vertex's exact transition rows on the reversed graph change at
@@ -403,29 +433,40 @@ func BoundedDistances(starts []int32, maxDepth int, gs ...*Graph) []int32 {
 	for i := range dist {
 		dist[i] = -1
 	}
-	var frontier []int32
+	// One FIFO queue for the whole search, preallocated to hold every
+	// vertex plus one slot: level k is queue[lo:hi] while level k+1 is
+	// written behind it. The scan is branch-free — every out-neighbour
+	// is written to the queue's next slot and sets its distance, and
+	// both only take effect for an unvisited one — because whether a
+	// neighbour was visited is unpredictable mid-search. On
+	// BenchmarkUpdateBatchWarm's wake-up BFS this takes about a quarter
+	// off an if-unvisited branch on the same queue.
+	queue := make([]int32, n+1)
+	qn := 0
 	for _, s := range starts {
 		if s < 0 || int(s) >= n {
 			panic(fmt.Sprintf("ugraph: start %d out of range [0,%d)", s, n))
 		}
 		if dist[s] == -1 {
 			dist[s] = 0
-			frontier = append(frontier, s)
+			queue[qn] = s
+			qn++
 		}
 	}
-	for depth := int32(1); int(depth) <= maxDepth && len(frontier) > 0; depth++ {
-		var next []int32
-		for _, v := range frontier {
+	for depth, lo := int32(1), 0; int(depth) <= maxDepth && lo < qn; depth++ {
+		hi := qn
+		for _, v := range queue[lo:hi] {
 			for _, g := range gs {
-				for _, w := range g.Out(int(v)) {
-					if dist[w] == -1 {
-						dist[w] = depth
-						next = append(next, w)
-					}
+				for _, w := range g.outDst[g.outOff[v]:g.outOff[v+1]] {
+					d := dist[w]
+					fresh := uint32(d) >> 31 // 1 iff d == -1
+					dist[w] = d + int32(fresh)*(depth+1)
+					queue[qn] = w
+					qn += int(fresh)
 				}
 			}
 		}
-		frontier = next
+		lo = hi
 	}
 	return dist
 }

@@ -3,6 +3,7 @@ package ugraph
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -136,6 +137,119 @@ func FuzzBuilder(f *testing.F) {
 		validateGraph(t, g)
 		if g.Reverse().NumArcs() != g.NumArcs() {
 			t.Fatal("reverse changed arc count")
+		}
+	})
+}
+
+// fuzzDeltaInput decodes a fuzz input into a base graph and a staged
+// overlay on it, returning the updates in staging order. data[0] sets
+// the vertex count (1–16); data[1]'s low bits empty the first and the
+// last row; data[2] counts the (tail, head, probability) byte triples of
+// base arcs that follow (duplicates skipped; a probability byte
+// divisible by 7 is a p = 1 arc). The remaining bytes are quadruples
+// (sel, tail, head, probability): each stages the op the arc's overlay
+// state allows (insert when absent; delete, or reweight when sel's bit
+// 0 is set, when present), and sel's bit 1 stages its inverse right
+// after it, so the pair nets out.
+func fuzzDeltaInput(t *testing.T, data []byte) (*Graph, *Delta, []ArcUpdate) {
+	t.Helper()
+	if len(data) < 3 {
+		return nil, nil, nil
+	}
+	n := 1 + int(data[0])%16
+	prob := func(b byte) float64 {
+		if b%7 == 0 {
+			return 1
+		}
+		return float64(b%100+1) / 101
+	}
+	b := NewBuilder(n)
+	seen := map[[2]int]bool{}
+	rest := data[3:]
+	for k := int(data[2]) % 48; k > 0 && len(rest) >= 3; k-- {
+		u, v, p := int(rest[0])%n, int(rest[1])%n, prob(rest[2])
+		rest = rest[3:]
+		if seen[[2]int{u, v}] || (data[1]&1 != 0 && u == 0) || (data[1]&2 != 0 && u == n-1) {
+			continue
+		}
+		seen[[2]int{u, v}] = true
+		b.AddArc(u, v, p)
+	}
+	g := b.MustBuild()
+	d := NewDelta(g)
+	var ups []ArcUpdate
+	stage := func(up ArcUpdate) {
+		if err := d.Stage(up); err != nil {
+			t.Fatalf("stage %+v: %v", up, err)
+		}
+		ups = append(ups, up)
+	}
+	for ; len(rest) >= 4 && len(ups) < 64; rest = rest[4:] {
+		sel, u, v, p := rest[0], int(rest[1])%n, int(rest[2])%n, prob(rest[3])
+		cur := d.Prob(u, v)
+		switch {
+		case cur == 0:
+			stage(ArcUpdate{Op: OpInsert, U: u, V: v, P: p})
+			if sel&2 != 0 {
+				stage(ArcUpdate{Op: OpDelete, U: u, V: v})
+			}
+		case sel&1 != 0:
+			stage(ArcUpdate{Op: OpReweight, U: u, V: v, P: p})
+			if sel&2 != 0 {
+				stage(ArcUpdate{Op: OpReweight, U: u, V: v, P: cur})
+			}
+		default:
+			stage(ArcUpdate{Op: OpDelete, U: u, V: v})
+			if sel&2 != 0 {
+				stage(ArcUpdate{Op: OpInsert, U: u, V: v, P: cur})
+			}
+		}
+	}
+	return g, d, ups
+}
+
+// FuzzDeltaCompact checks Compact against a Builder rebuild bit for bit,
+// the reversed overlay against the reverse of the compacted graph, and
+// RemovesBaseArc and SameDegrees against the compacted graph; when the
+// batch removes no base arc, a BoundedDistances over the new graph alone
+// must equal the run over both graphs, at every depth.
+func FuzzDeltaCompact(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, d, ups := fuzzDeltaInput(t, data)
+		if g == nil {
+			return
+		}
+		got := d.Compact()
+		validateGraph(t, got)
+		sameGraph(t, got, rebuildWithUpdates(t, g, ups))
+		sameGraph(t, d.Reversed(g.Reverse()).Compact(), got.Reverse())
+		removed := false
+		for u := 0; u < g.NumVertices(); u++ {
+			for _, v := range g.Out(u) {
+				removed = removed || got.Prob(u, int(v)) == 0
+			}
+		}
+		if d.RemovesBaseArc() != removed {
+			t.Fatalf("RemovesBaseArc = %v, but the compacted graph lost a base arc: %v", d.RemovesBaseArc(), removed)
+		}
+		for lo := 0; lo <= g.NumVertices(); lo++ {
+			same := true
+			for hi := lo; hi <= g.NumVertices(); hi++ {
+				if got.SameDegrees(g, lo, hi) != same {
+					t.Fatalf("SameDegrees(%d, %d) = %v, want %v", lo, hi, !same, same)
+				}
+				same = same && hi < g.NumVertices() && g.OutDegree(hi) == got.OutDegree(hi)
+			}
+		}
+		if removed {
+			return
+		}
+		heads := d.TouchedHeads()
+		for depth := 0; depth <= g.NumVertices(); depth++ {
+			both, alone := BoundedDistances(heads, depth, g, got), BoundedDistances(heads, depth, got)
+			if !slices.Equal(both, alone) {
+				t.Fatalf("depth %d from %v: new graph alone %v, both graphs %v", depth, heads, alone, both)
+			}
 		}
 	})
 }

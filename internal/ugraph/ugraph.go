@@ -134,6 +134,20 @@ func (g *Graph) OutProbs(v int) []float64 { return g.outP[g.outOff[v]:g.outOff[v
 // OutDegree returns the number of potential out-arcs of v.
 func (g *Graph) OutDegree(v int) int { return int(g.outOff[v+1] - g.outOff[v]) }
 
+// SameDegrees reports whether every vertex in [lo, hi) has the same
+// out-degree in g and h, two graphs over the same vertices: one scan of
+// the range's offsets.
+func (g *Graph) SameDegrees(h *Graph, lo, hi int) bool {
+	a, b := g.outOff[lo:hi+1], h.outOff[lo:hi+1]
+	shift := b[0] - a[0]
+	for i, off := range a {
+		if b[i]-off != shift {
+			return false
+		}
+	}
+	return true
+}
+
 // ArcRange returns the half-open range [lo, hi) of arc IDs leaving v.
 func (g *Graph) ArcRange(v int) (lo, hi int32) { return g.outOff[v], g.outOff[v+1] }
 
