@@ -569,31 +569,39 @@ func BenchmarkIndexPatch(b *testing.B) {
 	b.ReportMetric(float64(patched)/float64(g.NumVertices()), "patched_frac")
 }
 
-// BenchmarkTwoPhaseSource measures SR-TS's single-source kernel the way
-// a write-push subscription recomputes it: on write-push's graph family
-// (the BenchmarkApplyUpdates graph), the highest-degree vertex against
-// 32 fixed candidates at N = 1000 and one worker, every exact row
-// cached, so the time is the sampled tail. ns/walk-step counts N walks
-// of Steps steps for the source and for each candidate.
-func BenchmarkTwoPhaseSource(b *testing.B) {
-	g := gen.CoAuthorship(10_000, 2, rng.New(5))
+// twoPhaseBench is the SR-TS source query a write-push subscription
+// recomputes, on write-push's graph family (the BenchmarkApplyUpdates
+// graph): the highest-degree vertex u against 32 fixed candidates at
+// N = 1000 and one worker, with every exact row cached on e.
+func twoPhaseBench(b *testing.B) (g *usimrank.Graph, e *usimrank.Engine, u int, cands []int) {
+	b.Helper()
+	g = gen.CoAuthorship(10_000, 2, rng.New(5))
 	e, err := usimrank.New(g, usimrank.Options{N: 1000, Seed: 1, L: 1, Parallelism: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	u := 0
 	for v := 1; v < g.NumVertices(); v++ {
 		if g.OutDegree(v) > g.OutDegree(u) {
 			u = v
 		}
 	}
-	cands := make([]int, 32)
+	cands = make([]int, 32)
 	for i := range cands {
 		cands[i] = i * (g.NumVertices() / len(cands))
 	}
 	if err := e.WarmRowsFor(usimrank.AlgTwoPhase, append([]int{u}, cands...)); err != nil {
 		b.Fatal(err)
 	}
+	return g, e, u, cands
+}
+
+// BenchmarkTwoPhaseSource measures SR-TS's single-source kernel cold
+// (twoPhaseBench's query), so the time is the sampled tail with every
+// walk drawn: each iteration queries a fresh Clone, whose walk memo is
+// empty, made and row-warmed outside the timer. ns/walk-step counts N
+// walks of Steps steps for the source and for each candidate.
+func BenchmarkTwoPhaseSource(b *testing.B) {
+	_, e, u, cands := twoPhaseBench(b)
 	out := make([]float64, len(cands))
 	if err := e.SingleSourceAgainstInto(usimrank.AlgTwoPhase, u, cands, out); err != nil { // size the scratch pool
 		b.Fatal(err)
@@ -601,11 +609,61 @@ func BenchmarkTwoPhaseSource(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := e.SingleSourceAgainstInto(usimrank.AlgTwoPhase, u, cands, out); err != nil {
+		b.StopTimer()
+		c := e.Clone()
+		if err := c.WarmRowsFor(usimrank.AlgTwoPhase, append([]int{u}, cands...)); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := c.SingleSourceAgainstInto(usimrank.AlgTwoPhase, u, cands, out); err != nil {
 			b.Fatal(err)
 		}
 	}
 	reportWalkSteps(b, e, 1+len(cands))
+}
+
+// BenchmarkTwoPhasePush measures a write-push subscription's push with
+// the walk memo: twoPhaseBench's query runs twice on the engine, which
+// keeps its sides' walk grids, and each iteration derives the engine's
+// successor for write-push's batch (benchWriteBatch) and re-warms its
+// rows outside the timer, then times the query on the successor, which
+// re-draws only the chunks the batch reached. walks/op (drawn) and
+// reused/op (taken from kept chunks) are exact counts; they sum to the
+// 33,000 walks the query needs.
+func BenchmarkTwoPhasePush(b *testing.B) {
+	g, e, u, cands := twoPhaseBench(b)
+	out := make([]float64, len(cands))
+	for i := 0; i < 2; i++ {
+		if err := e.SingleSourceAgainstInto(usimrank.AlgTwoPhase, u, cands, out); err != nil {
+			b.Fatal(err)
+		}
+	}
+	ups := benchWriteBatch(g)
+	var drawn, reused uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		succ, _, err := e.ApplyUpdates(ups)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := succ.WarmRowsFor(usimrank.AlgTwoPhase, append([]int{u}, cands...)); err != nil {
+			b.Fatal(err)
+		}
+		before := succ.KernelStats()
+		b.StartTimer()
+		if err := succ.SingleSourceAgainstInto(usimrank.AlgTwoPhase, u, cands, out); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		after := succ.KernelStats()
+		drawn += after.Walks - before.Walks
+		reused += after.WalksReused - before.WalksReused
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(drawn)/float64(b.N), "walks/op")
+	b.ReportMetric(float64(reused)/float64(b.N), "reused/op")
 }
 
 // benchWriteBatch returns write-push's update shape on g: one fixed

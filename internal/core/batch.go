@@ -24,12 +24,13 @@ func (e *Engine) computeWith(p *parallel.Pool, alg Algorithm, u, v int) (float64
 }
 
 // Clone returns an engine over the same graph with the same options but
-// an independent row cache and kernel counters. The reversed graph and
-// the SR-SP filter pools are shared: the graph is immutable, and the
-// pools are safe for concurrent use and their filters never change (an
-// invalidated vertex re-samples to the bits a full build gives). Since the
-// Engine itself is now safe for concurrent use, Clone is only needed to
-// isolate row-cache churn between workloads, not for safety.
+// an independent row cache and kernel counters, and an empty walk memo.
+// The reversed graph and the SR-SP filter pools are shared: the graph
+// is immutable, and the pools are safe for concurrent use and their
+// filters never change (an invalidated vertex re-samples to the bits a
+// full build gives). Since the Engine itself is now safe for concurrent
+// use, Clone is only needed to isolate row-cache churn between
+// workloads, not for safety.
 func (e *Engine) Clone() *Engine {
 	fu, fv := e.pools() // materialise shared read-only pools before sharing
 	clone := &Engine{
@@ -42,6 +43,7 @@ func (e *Engine) Clone() *Engine {
 		poolV:  fv,
 		v2pool: e.v2pool, // scratch buffers are generic, share the warm pool
 		gen:    e.gen,
+		memo:   newWalkMemo(e.opt),
 		kc:     new(kernelCounters),
 	}
 	// Same graph, same plan: share whatever the receiver has built.

@@ -154,6 +154,11 @@ type Engine struct {
 	// ApplyUpdates. See Generation.
 	gen uint64
 
+	// memo keeps SR-TS source-kernel walk grids across queries and
+	// generations (walkmemo.go); ApplyUpdates carries it, and NewEngine
+	// and Clone start it empty. nil when not one side fits its budget.
+	memo *walkMemo
+
 	// kc aggregates lifetime kernel resource counts (walks sampled, v2
 	// arc instantiations, arena high-water) for the observability plane.
 	// ApplyUpdates successors, and engines that ContinueCounters from
@@ -180,6 +185,7 @@ func NewEngine(g *ugraph.Graph, opt Options) (*Engine, error) {
 		rows:   cache.New[int, []matrix.Vec](opt.RowCacheSize),
 		v2pool: newV2Pool(opt),
 		gen:    1,
+		memo:   newWalkMemo(opt),
 		kc:     new(kernelCounters),
 	}, nil
 }

@@ -11,6 +11,7 @@ import (
 // zero-allocation steady state intact.
 type kernelCounters struct {
 	walks     atomic.Uint64 // random walks sampled (all Monte Carlo kernels)
+	reused    atomic.Uint64 // walks SR-TS's source kernel took from the walk memo
 	arcs      atomic.Uint64 // arc instantiations recorded by the v2 kernel
 	arenaHigh atomic.Uint64 // largest v2 arena footprint seen, bytes
 }
@@ -32,6 +33,11 @@ type KernelStats struct {
 	// Monte Carlo kernels (v1 sampling, two-phase tails, v2, occupancy /
 	// index-residual sampling).
 	Walks uint64
+	// WalksReused counts the walks SR-TS's single-source kernel took
+	// from its walk memo instead of drawing them: chunks kept on an
+	// earlier query whose walks left no row changed since. They are not
+	// in Walks; drawn plus reused is the walks the queries needed.
+	WalksReused uint64
 	// ArcsInstantiated counts possible-world arc-set instantiations
 	// recorded by the v2 kernel's walk arenas.
 	ArcsInstantiated uint64
@@ -56,6 +62,7 @@ func (e *Engine) KernelStats() KernelStats {
 	gets, misses := e.v2pool.Stats()
 	ks := KernelStats{
 		Walks:               e.kc.walks.Load(),
+		WalksReused:         e.kc.reused.Load(),
 		ArcsInstantiated:    e.kc.arcs.Load(),
 		ArenaHighWaterBytes: e.kc.arenaHigh.Load(),
 		ScratchGets:         gets,
@@ -75,13 +82,13 @@ func (e *Engine) KernelStats() KernelStats {
 }
 
 // ContinueCounters makes e's lifetime counters continue prev's, as an
-// ApplyUpdates successor's do: kernel walks and arc instantiations, row
-// cache hits, misses and evictions, and filter re-samples. Those totals
-// read from e then never drop below prev's when e replaces it, as in a
-// serving plane's reload, which builds e from scratch. Work prev
-// records afterwards shows in both, except for filter re-samples, which
-// e takes over as a snapshot. The scratch pool's checkout counts stay
-// e's own. Call it before e serves a query.
+// ApplyUpdates successor's do: kernel walks drawn and reused, arc
+// instantiations, row cache hits, misses and evictions, and filter
+// re-samples. Those totals read from e then never drop below prev's
+// when e replaces it, as in a serving plane's reload, which builds e
+// from scratch. Work prev records afterwards shows in both, except for
+// filter re-samples, which e takes over as a snapshot. The scratch
+// pool's checkout counts stay e's own. Call it before e serves a query.
 func (e *Engine) ContinueCounters(prev *Engine) {
 	e.filterBase = prev.KernelStats().FilterVerticesResampled
 	e.kc = prev.kc

@@ -118,7 +118,7 @@ func (e *Engine) CheckIndex(x SourceIndex) error {
 func (e *Engine) occupancyWith(p *parallel.Pool, v int, salt uint64) []matrix.Vec {
 	s := e.v2pool.Get()
 	defer e.v2pool.Put(s)
-	e.sampleSide(p, s, v, salt)
+	e.sampleSide(p, s, sideDraw{}, v, salt)
 	return e.foldOccupancy(s)
 }
 
@@ -135,11 +135,11 @@ func (e *Engine) foldOccupancy(s *v2scratch) []matrix.Vec {
 	for k := range occ {
 		entries := 0
 		for ci, c := range s.cu {
-			if !s.sampled[ci] {
+			if s.gridU[ci] == nil {
 				continue
 			}
 			W := c.Len()
-			row := s.posU[int(s.uoff[ci])+k*W:][:W]
+			row := s.gridU[ci][k*W:][:W]
 			for _, at := range row {
 				if at >= 0 {
 					s.cnt[at]++

@@ -39,6 +39,13 @@ type v2scratch struct {
 	counts []int64          // integer meeting counts
 	m      []float64        // merged m̂(k) estimate
 
+	// Walk-grid state; see walkgrid.go. gridU[ci] is the source side's
+	// chunk ci (a block of posU or a kept grid; nil until drawn), side
+	// says how it is drawn, and gridV holds a candidate's chunk grids.
+	// They may reference kept grids until the next layout.
+	gridU, gridV [][]int32
+	side         sideDraw
+
 	// Adaptive (ε, δ) round-loop state; see adaptive.go.
 	sums   []float64 // per-chunk Σ X_i of the weighted estimator
 	sumsqs []float64 // per-chunk Σ X_i², parallel to sums
@@ -47,10 +54,9 @@ type v2scratch struct {
 	// Occupancy fold state; see indexed.go. The dense per-vertex
 	// buffers are all-zero between uses: the fold clears every entry
 	// it sets.
-	sampled []bool    // per chunk: its grid was sampled (a cancelled pool skips some)
-	cnt     []int32   // per-vertex walk count of one chunk's step row
-	acc     []float64 // per-vertex occupancy of one step, summed in chunk order
-	hit     []uint64  // bitset of the vertices acc holds this step
+	cnt []int32   // per-vertex walk count of one chunk's step row
+	acc []float64 // per-vertex occupancy of one step, summed in chunk order
+	hit []uint64  // bitset of the vertices acc holds this step
 
 	// SR-SP state: one vertex's counting tables and the frontier
 	// scratch that propagates them; see propagatePair.

@@ -173,6 +173,16 @@ func (e *Engine) samplingKernel(p *parallel.Pool, u int, candidates []int, out [
 // (sampleSide); per candidate one prefix dot and one walk replay on its
 // own pooled scratch (candidateGrid). Identical arithmetic to
 // TwoPhase(u, v).
+//
+// Each side — u's u-side stream and every candidate's v-side stream —
+// goes through the engine's walk memo (walkmemo.go) when the query's
+// 1 + len(candidates) sides fit it: a side requested before keeps its
+// grids, and on a later query, on this generation or one derived by up
+// to memoGenerations update batches, every chunk none of whose walks
+// left a changed row is reused instead of re-drawn. A query that does
+// not fit draws every chunk into pooled scratch, through the same
+// per-chunk loop. Either way the answer is bit-identical to a fresh
+// engine's.
 func (e *Engine) twoPhaseKernel(p *parallel.Pool, u int, candidates []int, out []float64, errs []error) error {
 	n := e.opt.Steps
 	l := e.splitDepth()
@@ -180,11 +190,14 @@ func (e *Engine) twoPhaseKernel(p *parallel.Pool, u int, candidates []int, out [
 	if err != nil {
 		return err
 	}
+	memo := e.memoFor(len(candidates))
 	var s *v2scratch
 	if l < n {
 		s = e.v2pool.Get()
 		defer e.v2pool.Put(s)
-		e.sampleSide(p, s, u, saltWalkU)
+		k := sideKey{u, saltWalkU}
+		e.sampleSide(p, s, memo.plan(e, k), u, saltWalkU)
+		memo.store(e, p, k, s.side, s.gridU)
 	}
 	// On a cancelled pool view the source grids may be incomplete, but
 	// then the candidate fan-out below runs no tasks either; callers of
@@ -205,7 +218,10 @@ func (e *Engine) twoPhaseKernel(p *parallel.Pool, u int, candidates []int, out [
 		}
 		w := e.v2pool.Get()
 		defer e.v2pool.Put(w)
-		out[i] = CombineTwoPhase(exact, e.candidateGrid(s, w, candidates[i]), e.opt.C, e.opt.L, n)
+		k := sideKey{candidates[i], saltWalkV}
+		sd := memo.plan(e, k)
+		out[i] = CombineTwoPhase(exact, e.candidateGrid(s, w, &sd, candidates[i]), e.opt.C, e.opt.L, n)
+		memo.store(e, p, k, sd, w.gridV)
 	})
 	return nil
 }

@@ -76,7 +76,8 @@ type UpdatePhases struct {
 	// TouchBFS is the BoundedDistances run to the full walk horizon that
 	// yields TouchedSources (zero for a batch that nets out).
 	TouchBFS time.Duration
-	// RowCarry is the carry-over of surviving row-cache entries.
+	// RowCarry is the carry-over of surviving row-cache entries and of
+	// the walk memo's keys and kept sides.
 	RowCarry time.Duration
 	// Filters is the SR-SP filter invalidation: per built pool, a copy
 	// of the block table's page pointers and a clone of each page that
@@ -104,22 +105,27 @@ func (e *Engine) Generation() uint64 { return e.gen }
 //     the update overlay (bulk copies of the untouched rows, no
 //     re-sort);
 //   - row-cache entries survive unless their source reaches a touched
-//     arc head within the cached walk horizon (a bounded BFS decides,
-//     over the new graph alone unless the batch deletes an arc), and
-//     the survivors move to the successor's cache in one pass;
+//     arc head within the cached walk horizon (a bounded BFS over the
+//     new graph decides), and the survivors move to the successor's
+//     cache in one pass;
 //   - built SR-SP filter pools are patched per vertex: the vertices
 //     whose reversed out-row changed are invalidated on cloned pages of
 //     the block table, and re-sampled only when an SR-SP propagation
 //     first reaches them (or by WarmFilters), so an update re-samples
-//     no filter.
+//     no filter;
+//   - the walk memo of SR-TS's source kernel carries over with the
+//     batch's staged heads, the rows it may have changed. The update
+//     checks no walk: the successor's next source query reuses each
+//     kept chunk none of whose walks left such a row, and re-draws the
+//     others (walkmemo.go).
 //
 // Every query on the derived engine is bit-identical to the same query
 // on a freshly built engine over the mutated graph with the same
 // options: walk streams depend only on (seed, vertex, side), retained
-// rows are prefix-stable, and re-sampled filters reproduce the
-// from-scratch build exactly. The oracle test suite pins this. Kernel
-// and row-cache counters carry over, so lifetime totals read from the
-// newest generation never drop.
+// rows are prefix-stable, re-sampled filters reproduce the from-scratch
+// build exactly, and a reused walk chunk is the one a fresh draw gives.
+// The oracle test suite pins this. Kernel and row-cache counters carry
+// over, so lifetime totals read from the newest generation never drop.
 //
 // An empty update batch is legal and yields a successor with all warm
 // state retained (only the generation changes).
@@ -137,14 +143,11 @@ func (e *Engine) ApplyUpdates(updates []ugraph.ArcUpdate) (*Engine, *UpdateStats
 	newG := d.Compact()
 	newRev := d.Reversed(e.rev).Compact()
 	heads := d.TouchedHeads()
-	// Both invalidation BFS runs follow the union of the old and new
-	// adjacency, so paths that exist only before or only after the batch
-	// count. Unless the batch deletes a base arc, every old arc is also a
-	// new one, and the union is the new graph alone.
-	union := []*ugraph.Graph{e.g, newG}
-	if !d.RemovesBaseArc() {
-		union = union[1:]
-	}
+	// Both invalidation BFS runs read the new graph alone, yet give the
+	// distances over the union of the old and new adjacency: every arc
+	// the batch deletes ends at a head that seeds both runs, and a
+	// shortest path from the seeds never enters a seed, so no old arc
+	// can shorten a distance.
 
 	stats := &UpdateStats{
 		Applied:      d.NetChanges(),
@@ -166,7 +169,7 @@ func (e *Engine) ApplyUpdates(updates []ugraph.ArcUpdate) (*Engine, *UpdateStats
 	lap(&stats.Phases.RowCarry)
 	var dist []int32
 	if len(heads) > 0 && cached > 0 {
-		dist = ugraph.BoundedDistances(heads, maxDepth, union...)
+		dist = ugraph.BoundedDistances(heads, maxDepth, newG)
 	}
 	lap(&stats.Phases.EvictBFS)
 
@@ -179,7 +182,7 @@ func (e *Engine) ApplyUpdates(updates []ugraph.ArcUpdate) (*Engine, *UpdateStats
 	// answer and must produce an empty set).
 	if netHeads := d.NetChangedHeads(); len(netHeads) > 0 {
 		horizon := max(e.opt.Steps-1, 0)
-		for v, dv := range ugraph.BoundedDistances(netHeads, horizon, union...) {
+		for v, dv := range ugraph.BoundedDistances(netHeads, horizon, newG) {
 			if dv >= 0 {
 				stats.TouchedSources = append(stats.TouchedSources, int32(v))
 			}
@@ -197,6 +200,7 @@ func (e *Engine) ApplyUpdates(updates []ugraph.ArcUpdate) (*Engine, *UpdateStats
 		stats.RowsRetained++
 		return true
 	})
+	memo := e.memo.carry(stats.Generation, heads)
 	lap(&stats.Phases.RowCarry)
 
 	// Filter-pool carry-over: patch only if the predecessor built them;
@@ -236,6 +240,7 @@ func (e *Engine) ApplyUpdates(updates []ugraph.ArcUpdate) (*Engine, *UpdateStats
 		poolU:      newPoolU,
 		poolV:      newPoolV,
 		gen:        e.gen + 1,
+		memo:       memo,
 		kc:         e.kc,
 		filterBase: e.filterBase,
 	}, stats, nil

@@ -18,9 +18,12 @@ import (
 //     merges the per-chunk integer counts in chunk order, as
 //     meetingSampledWith does.
 //
-// Both draw a vertex-side's chunks through layoutSide and sideChunk, so
-// a source's grids are the same chunks in the same layout whichever
-// kernel asks.
+// Every chunk comes from drawChunk, so a source's grids are the same
+// chunks in the same layout whichever kernel asks. drawChunk also
+// serves the walk memo (walkmemo.go): twoPhaseKernel's sides may reuse
+// a chunk kept on an earlier query, even on an earlier generation, when
+// none of its walks left a row that changed since. The other callers
+// pass the zero sideDraw and draw every chunk into scratch.
 //
 // AlgSampling stays on mc.Sample: its map path is the v1 leg of the
 // bench gate's 2× v2-over-v1 bound, and MeetingSampled is the reference
@@ -28,20 +31,23 @@ import (
 
 // layoutSide prepares s for one vertex-side's whole walk stream: its
 // chunk set in s.cu, seeded in chunk order exactly as walkChunks seeds
-// it, and one grid per chunk in s.posU, none sampled yet.
+// it, one grid block per chunk in s.posU, and s.gridU cleared — no
+// chunk drawn yet — with s.side the zero sideDraw.
 func (e *Engine) layoutSide(s *v2scratch, v int, salt uint64) {
 	s.r.Reseed(e.sideSeed(v, salt))
 	s.cu = parallel.AppendChunks(s.cu[:0], e.opt.N, parallel.DefaultChunkSize, &s.r)
 	s.layoutGrids(e.opt.Steps + 1)
-	s.sampled = grow(s.sampled, len(s.cu))
-	clear(s.sampled)
+	s.gridU = grow(s.gridU, len(s.cu))
+	clear(s.gridU)
+	s.side = sideDraw{}
 }
 
-// sampleSide draws one vertex-side's whole walk stream into s's grids
-// (see layoutSide), the chunks fanned out over p. A cancelled pool
-// skips chunks; s.sampled records which ran.
-func (e *Engine) sampleSide(p *parallel.Pool, s *v2scratch, v int, salt uint64) {
+// sampleSide draws one vertex-side's whole walk stream as sd says (see
+// layoutSide and drawChunk), the chunks fanned out over p. A cancelled
+// pool skips chunks; s.gridU[ci] stays nil for those.
+func (e *Engine) sampleSide(p *parallel.Pool, s *v2scratch, sd sideDraw, v int, salt uint64) {
 	e.layoutSide(s, v, salt)
+	s.side = sd
 	if nch := len(s.cu); p.Workers() <= 1 || nch == 1 {
 		for ci := 0; ci < nch && p.Err() == nil; ci++ {
 			e.sideChunk(s, s, v, ci)
@@ -55,25 +61,42 @@ func (e *Engine) sampleSide(p *parallel.Pool, s *v2scratch, v int, salt uint64) 
 	}
 }
 
-// sideChunk samples chunk ci of s's walk stream into its block of the
-// shared grid s.posU, using w's arena (w == s on the serial path).
+// sideChunk draws chunk ci of s's side as s.side says, into its block
+// of s.posU unless it is reused or kept, using w's arena (w == s on the
+// serial path), and records its grid in s.gridU[ci].
 func (e *Engine) sideChunk(s, w *v2scratch, v, ci int) {
-	c := s.cu[ci]
-	w.r.Reseed(c.Seed)
-	mc.SampleGrid(e.rev, v, e.opt.Steps, c.Len(), &w.r, &w.arena, s.posU[s.uoff[ci]:s.uoff[ci+1]])
-	e.kc.walks.Add(uint64(c.Len()))
-	s.sampled[ci] = true
+	s.gridU[ci] = e.drawChunk(w, &s.side, v, ci, s.cu[ci], s.posU[s.uoff[ci]:s.uoff[ci+1]])
 }
 
-// meetChunk draws c, the ci-th chunk of v's v-side stream, into w.posV
-// and adds its meetings with the ci-th u-side grid of s into counts
-// (Steps+1 entries). The caller counts the walks.
-func (e *Engine) meetChunk(s, w *v2scratch, v, ci int, c parallel.Chunk, counts []int64) {
+// drawChunk returns the grid of chunk c, the ci-th of v's walk stream:
+// sd.prev's when it is reusable, else a draw from the chunk's seed with
+// w's arena — into dst, or into a fresh grid when sd keeps the side,
+// since kept grids are immutable. It counts the walks drawn or reused.
+func (e *Engine) drawChunk(w *v2scratch, sd *sideDraw, v, ci int, c parallel.Chunk, dst []int32) []int32 {
+	n, W := e.opt.Steps, c.Len()
+	if sd.reusable(ci, n*W) {
+		e.kc.reused.Add(uint64(W))
+		return sd.prev.grids[ci]
+	}
+	if sd.keep {
+		dst = make([]int32, (n+1)*W)
+	}
+	w.r.Reseed(c.Seed)
+	mc.SampleGrid(e.rev, v, n, W, &w.r, &w.arena, dst)
+	e.kc.walks.Add(uint64(W))
+	return dst
+}
+
+// meetChunk draws c, the ci-th chunk of v's v-side stream, as sd says
+// (into w.posV unless reused or kept) and adds its meetings with the
+// ci-th source grid of s into counts (Steps+1 entries). It returns the
+// chunk's grid.
+func (e *Engine) meetChunk(s, w *v2scratch, sd *sideDraw, v, ci int, c parallel.Chunk, counts []int64) []int32 {
 	n, W := e.opt.Steps, c.Len()
 	w.posV = grow(w.posV, (n+1)*W)
-	w.r.Reseed(c.Seed)
-	mc.SampleGrid(e.rev, v, n, W, &w.r, &w.arena, w.posV)
-	mc.CountMeets(s.posU[s.uoff[ci]:s.uoff[ci+1]], w.posV, n, W, counts)
+	grid := e.drawChunk(w, sd, v, ci, c, w.posV)
+	mc.CountMeets(s.gridU[ci], grid, n, W, counts)
+	return grid
 }
 
 // meetingGridWith is meetingSampledWith on grids, with a bit-identical
@@ -107,23 +130,22 @@ func (e *Engine) meetingGridWith(p *parallel.Pool, s *v2scratch, u, v int) []flo
 func (e *Engine) pairGridChunk(s, w *v2scratch, u, v, ci int) {
 	stride := e.opt.Steps + 1
 	e.sideChunk(s, w, u, ci)
-	c := s.cv[ci]
-	e.meetChunk(s, w, v, ci, c, s.counts[ci*stride:(ci+1)*stride])
-	e.kc.walks.Add(uint64(c.Len()))
+	e.meetChunk(s, w, &sideDraw{}, v, ci, s.cv[ci], s.counts[ci*stride:(ci+1)*stride])
 }
 
 // candidateGrid is candidateMeeting on grids: v's v-side chunks are
-// drawn one after another into w and counted against the source grids
-// s holds, so the estimate is bit-identical to MeetingSampled(u, v). It
-// is returned in w.m, valid while the caller holds w.
-func (e *Engine) candidateGrid(s, w *v2scratch, v int) []float64 {
+// drawn as sd says, one after another with w's scratch, and counted
+// against the source grids s holds, so the estimate is bit-identical to
+// MeetingSampled(u, v). It is returned in w.m, and the chunks' grids in
+// w.gridV, both valid while the caller holds w.
+func (e *Engine) candidateGrid(s, w *v2scratch, sd *sideDraw, v int) []float64 {
 	w.r.Reseed(e.sideSeed(v, saltWalkV))
 	w.cv = parallel.AppendChunks(w.cv[:0], e.opt.N, parallel.DefaultChunkSize, &w.r)
 	w.counts = grow(w.counts, e.opt.Steps+1)
 	clearInt64(w.counts)
+	w.gridV = grow(w.gridV, len(w.cv))
 	for ci, c := range w.cv {
-		e.meetChunk(s, w, v, ci, c, w.counts)
+		w.gridV[ci] = e.meetChunk(s, w, sd, v, ci, c, w.counts)
 	}
-	e.kc.walks.Add(uint64(e.opt.N)) // the chunks partition exactly N walks
 	return e.mergeChunkCounts(w, 1)
 }

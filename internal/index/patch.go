@@ -11,13 +11,14 @@ import (
 
 // Patch derives the successor generation's index from x after an
 // incremental update batch: succ must be the engine ApplyUpdates
-// returned, oldG the predecessor's graph, and updates the batch that
-// produced it. Only vertices within the walk horizon of a touched arc
-// head are recomputed (see the package comment for why that set is
-// exact); every other row is shared with x, so the patched index shares
-// x's backing (the lineage's mapping, see Index) but does not keep x
-// itself reachable. Returns the new index and the number of vertices
-// whose rows were recomputed.
+// returned, and updates the batch that produced it. oldG, the
+// predecessor's graph, is not read: the invalidation BFS needs succ's
+// graph alone (see below). Only vertices within the walk horizon of a
+// touched arc head are recomputed (see the package comment for why
+// that set is exact); every other row is shared with x, so the patched
+// index shares x's backing (the lineage's mapping, see Index) but does
+// not keep x itself reachable. Returns the new index and the number of
+// vertices whose rows were recomputed.
 //
 // The result is bit-identical to Build(succ) — the fresh-rebuild
 // equivalence the index-lifecycle tests pin — at the cost of a bounded
@@ -61,8 +62,11 @@ func Patch(x *Index, succ *core.Engine, oldG *ugraph.Graph, updates []ugraph.Arc
 
 	// occ_v[0..depth] instantiates reversed out-rows at walk steps
 	// 0..depth−1, so v is affected iff the BFS from the heads over the
-	// original-direction union adjacency reaches it within depth−1.
-	dist := ugraph.BoundedDistances(heads, depth-1, oldG, succ.Graph())
+	// original-direction union of the old and new adjacency reaches it
+	// within depth−1. The new graph alone gives those distances: every
+	// deleted arc ends at a head, and a shortest path from the heads
+	// never enters one (see ugraph.BoundedDistances).
+	dist := ugraph.BoundedDistances(heads, depth-1, succ.Graph())
 	rows := make([]matrix.Vec, len(x.rows))
 	copy(rows, x.rows)
 	var touched []int

@@ -58,8 +58,8 @@ func stageableBatch(r *rng.RNG, g *usimrank.Graph, count int) []usimrank.ArcUpda
 // top-k (per-source and all-pairs), batch, and the SR-SP matrix sweep
 // — returns bits identical to a from-scratch engine built on the
 // mutated graph. The predecessor engine is warmed first (rows at both
-// exact depths, filter pools, top-k sweeps), so retained state — not
-// just recomputation — is what is being compared.
+// exact depths, filter pools, top-k sweeps, kept SR-TS walk grids), so
+// retained state — not just recomputation — is what is being compared.
 func TestApplyUpdatesEquivalentAcrossAllShapes(t *testing.T) {
 	r := rng.New(60221)
 	for _, optCase := range []struct {
@@ -70,6 +70,7 @@ func TestApplyUpdatesEquivalentAcrossAllShapes(t *testing.T) {
 		{"all-exact l=n", usimrank.Options{Steps: 3, N: 80, L: 3, Seed: 23, Parallelism: 2, RowCacheSize: 128}},
 	} {
 		t.Run(optCase.name, func(t *testing.T) {
+			var reused uint64 // walks the derived engines took from kept grids
 			for trial := 0; trial < 4; trial++ {
 				g := randMidGraph(r, 40+r.Intn(30), 150+r.Intn(100))
 				e, err := usimrank.New(g, optCase.opt)
@@ -91,8 +92,18 @@ func TestApplyUpdatesEquivalentAcrossAllShapes(t *testing.T) {
 				if _, err := usimrank.TopKSimilar(e, usimrank.AlgSRSP, 0, 3); err != nil {
 					t.Fatal(err)
 				}
+				// Small SR-TS source queries, twice, so their sides' walk
+				// grids are kept and the successor reuses chunks of them.
+				for round := 0; round < 2; round++ {
+					for _, u := range []int{0, 2} {
+						if _, err := e.SingleSourceAgainst(usimrank.AlgTwoPhase, u, []int{0, 1, 2, 3}); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
 
 				ups := stageableBatch(r, g, 1+r.Intn(5))
+				reused -= e.KernelStats().WalksReused
 				derived, stats, err := e.ApplyUpdates(ups)
 				if err != nil {
 					t.Fatalf("trial %d: %v (batch %+v)", trial, err, ups)
@@ -191,6 +202,7 @@ func TestApplyUpdatesEquivalentAcrossAllShapes(t *testing.T) {
 						}
 					}
 				}
+				reused += derived.KernelStats().WalksReused
 				// Chained derivation: a second batch on the derived engine
 				// must keep the invariant.
 				ups2 := stageableBatch(r, derived.Graph(), 2)
@@ -213,6 +225,9 @@ func TestApplyUpdatesEquivalentAcrossAllShapes(t *testing.T) {
 				if got != want {
 					t.Fatalf("trial %d chained: %v vs %v", trial, got, want)
 				}
+			}
+			if sampled := optCase.opt.L < optCase.opt.Steps; sampled && reused == 0 {
+				t.Fatal("no derived engine reused a kept walk chunk; the checks never covered one")
 			}
 		})
 	}

@@ -631,6 +631,60 @@ func TestPushCandidatesMatchColdQuery(t *testing.T) {
 	}
 }
 
+// TestPushReusesWalks: a twophase source subscription's pushes go
+// through the engine's walk memo. The snapshot records the sides, the
+// first update's push keeps their grids, and the second update's push
+// reuses every chunk the update did not reach — here all of the
+// candidates', which cannot reach the updated arc's head — so the third
+// push is the first that /metrics shows reused walks for. Each push
+// still has the bytes of a cold query, asked of a twin server that
+// takes the same updates (a cold query on the subscribed server would
+// count as one more request for the same sides).
+func TestPushReusesWalks(t *testing.T) {
+	g := testGraph()
+	s := newTestServer(t, Config{Engine: testOptions()})
+	twin := newTestServer(t, Config{Engine: testOptions()})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	a, b, p := firstArc(t, g)
+	var cands []int
+	for v, d := range ugraph.BoundedDistances([]int32{int32(b)}, 4, g) { // Steps−1 at the default Steps
+		if d < 0 && len(cands) < 3 {
+			cands = append(cands, v)
+		}
+	}
+	if len(cands) == 0 {
+		t.Fatalf("every vertex reaches %d within 4 hops; the test needs candidates that do not", b)
+	}
+	candParam := strings.Trim(strings.Join(strings.Fields(fmt.Sprint(cands)), ","), "[]")
+	resp, br, cancel := openSub(t, ts.URL, fmt.Sprintf("shape=source&alg=twophase&u=%d&candidates=%s", b, candParam), 0)
+	defer cancel()
+	defer resp.Body.Close()
+	reused := func() string {
+		return sampleValues(get(t, s, "/metrics"))["usimrank_kernel_walks_reused_total"]
+	}
+	for push, np := range []float64{0, p / 2, p / 3} {
+		if push > 0 { // the snapshot follows no update
+			ups := []usimrank.ArcUpdate{{Op: usimrank.OpReweight, U: a, V: b, P: np}}
+			for _, srv := range []*Server{s, twin} {
+				if _, err := srv.ApplyUpdates(ups); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		fr := nextEvent(t, br)
+		if want := coldBody(t, twin, "/v1/source", SourceRequest{Alg: "twophase", U: b, Candidates: cands}); !bytes.Equal(fr.Data(), want) {
+			t.Fatalf("push %d differs from the cold query:\npush: %s\ncold: %s", push+1, fr.Data(), want)
+		}
+		switch got := reused(); {
+		case push < 2 && got != "0":
+			t.Fatalf("after push %d, %s walks reused, want 0", push+1, got)
+		case push == 2 && got == "0":
+			t.Fatalf("the third push reused no walks")
+		}
+	}
+}
+
 // TestScoreSelfPairSubscription covers the degenerate score shape: a
 // self-pair watches one vertex, not two copies of it.
 func TestScoreSelfPairSubscription(t *testing.T) {

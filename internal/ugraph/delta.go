@@ -80,11 +80,10 @@ type arcState struct {
 type Delta struct {
 	base   *Graph
 	staged map[[2]int32]arcState
-	// arcs is the overlay's arc count minus the base's, and baseDeletes
-	// the number of base arcs whose staged state is absent. Stage keeps
-	// both as it validates each update, so NumArcs, RemovesBaseArc and
-	// Compact need no pass over the staged arcs to know them.
-	arcs, baseDeletes int
+	// arcs is the overlay's arc count minus the base's. Stage keeps it
+	// as it validates each update, so NumArcs and Compact need no pass
+	// over the staged arcs to know it.
+	arcs int
 }
 
 // NewDelta returns an empty overlay on base.
@@ -120,17 +119,11 @@ func (d *Delta) Stage(up ArcUpdate) error {
 		if !(up.P > 0 && up.P <= 1) {
 			return fmt.Errorf("ugraph: insert (%d,%d): probability %v outside (0,1]", up.U, up.V, up.P)
 		}
-		if d.base.Prob(up.U, up.V) > 0 { // undoes a staged delete of a base arc
-			d.baseDeletes--
-		}
 		d.arcs++
 		d.staged[key] = arcState{exists: true, p: up.P}
 	case OpDelete:
 		if !cur.exists {
 			return fmt.Errorf("ugraph: delete (%d,%d): no such arc", up.U, up.V)
-		}
-		if d.base.Prob(up.U, up.V) > 0 {
-			d.baseDeletes++
 		}
 		d.arcs--
 		d.staged[key] = arcState{exists: false}
@@ -204,13 +197,6 @@ func (d *Delta) NetChangedHeads() []int32 {
 	sort.Slice(heads, func(i, j int) bool { return heads[i] < heads[j] })
 	return heads
 }
-
-// RemovesBaseArc reports whether the overlay deletes an arc of the base
-// graph: some staged state is absent where the base has the arc. When
-// it does not, every base arc survives into Compact's graph, so the
-// union of the old and new adjacency is the new graph's alone and a
-// BoundedDistances over both graphs can pass the new one only.
-func (d *Delta) RemovesBaseArc() bool { return d.baseDeletes > 0 }
 
 // Base returns the graph the overlay is staged over.
 func (d *Delta) Base() *Graph { return d.base }
@@ -297,7 +283,7 @@ func (d *Delta) TouchedHeads() []int32 {
 // (v, u). The mirror needs no re-validation — arc (u, v) exists in a
 // graph iff (v, u) exists in its reverse.
 func (d *Delta) Reversed(revBase *Graph) *Delta {
-	rd := &Delta{base: revBase, staged: make(map[[2]int32]arcState, len(d.staged)), arcs: d.arcs, baseDeletes: d.baseDeletes}
+	rd := &Delta{base: revBase, staged: make(map[[2]int32]arcState, len(d.staged)), arcs: d.arcs}
 	for key, st := range d.staged {
 		rd.staged[[2]int32{key[1], key[0]}] = st
 	}
@@ -415,9 +401,14 @@ func (g *Graph) Apply(ups []ArcUpdate) (*Graph, error) {
 // such path (0 for a start vertex) or -1 when v is not reachable within
 // maxDepth. Passing both the pre- and post-mutation graphs makes the
 // reach set conservative across the mutation: a path that existed only
-// before, or only after, still counts. When the mutation removed no arc
-// (see Delta.RemovesBaseArc), the post-mutation graph alone is that
-// union.
+// before, or only after, still counts.
+//
+// When starts include the head of every arc the mutation deleted, as
+// the update plane's seeds do, the post-mutation graph alone gives the
+// same distances: a deleted arc ends at a start, and a shortest path
+// from the starts never enters a start, so no old-only arc lies on one.
+// The update plane passes the new graph alone; the variadic form stays
+// for callers that measure or check the two-graph run.
 //
 // This is the invalidation frontier of the dynamic update plane: a
 // source vertex's exact transition rows on the reversed graph change at

@@ -268,8 +268,8 @@ func LoadIndexFile(path string) (*Index, error) { return index.Load(path) }
 
 // PatchIndex derives the successor generation's index after
 // Engine.ApplyUpdates without a full rebuild: succ is the engine
-// ApplyUpdates returned, oldG the predecessor's graph, and updates the
-// batch. Only vertices within the walk horizon of a touched arc head
+// ApplyUpdates returned, and updates the batch. oldG, the predecessor's
+// graph, is accepted but not read. Only vertices within the walk horizon of a touched arc head
 // are recomputed; the result is bit-identical to BuildIndex(succ).
 // Returns the patched index and the number of recomputed vertices.
 func PatchIndex(x *Index, succ *Engine, oldG *Graph, updates []ArcUpdate) (*Index, int, error) {
