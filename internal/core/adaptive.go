@@ -13,8 +13,9 @@ import (
 )
 
 // Adaptive (ε, δ) queries: instead of a fixed N walk pairs, the sampled
-// strategies run the v2 lockstep kernel in geometric rounds (N₁, 2N₁, …)
-// and stop as soon as a confidence radius drops below the requested ε —
+// strategies draw the v2 lockstep walks (Plan.Sample, through the walk
+// driver in walkgrid.go) in geometric rounds (N₁, 2N₁, …) and stop as
+// soon as a confidence radius drops below the requested ε —
 // the paper's Eq. 14 accuracy analysis turned from a test-suite artifact
 // into a request parameter. Per round the estimator folds each walk
 // pair into a single score
@@ -31,10 +32,12 @@ import (
 // share δ/rounds (union bound over the whole schedule), so
 // P(|estimate − E| > radius at any committed round) ≤ δ.
 //
-// Determinism: rounds reuse the fixed-size chunk machinery of the v2
-// kernel — per-side streams seeded by (engine seed, vertex, side),
-// chunk seeds drawn in order — so round r's walk set is a prefix of
-// round r+1's, and per-chunk (ΣX, ΣX²) moments merge in chunk order.
+// Determinism: rounds reuse the walk driver's fixed-size chunks —
+// per-side streams seeded by (engine seed, vertex, side), chunk seeds
+// drawn in order — so round r's walk set is a prefix of round r+1's:
+// each round lays the source side out for its walk total (layoutSide)
+// and draws only the new chunks, which are all its candidates read.
+// Per-chunk (ΣX, ΣX²) moments merge in chunk order.
 // At a fixed option set the whole trajectory (every round's estimate,
 // radius, and the stopping point) is bit-stable across Parallelism
 // values and across the pair/source query shapes.
@@ -48,10 +51,12 @@ import (
 // finish — when the remaining deadline is under 2× the previous
 // round's duration, since each round doubles the walks — so
 // deadline-pressured queries return a committed interval instead of
-// burning the budget on a round that will be thrown away. All sampled strategies share the v2 kernel here: SR-SP's
-// filter bit-vectors amortise over fixed sweeps but cannot extend a
-// committed walk set round over round, so AlgSRSP's adaptive tail runs
-// the same lockstep walks as AlgTwoPhase's.
+// burning the budget on a round that will be thrown away.
+//
+// All sampled strategies share the v2 walks here: SR-SP's filter
+// bit-vectors amortise over fixed sweeps but cannot extend a committed
+// walk set round over round, so AlgSRSP's adaptive tail runs the same
+// lockstep walks as AlgTwoPhase's.
 
 // AdaptiveDefaultDelta is the confidence parameter assumed when a
 // request sets eps but leaves delta zero.
@@ -250,10 +255,10 @@ func (e *Engine) exactPrefix(u, v, l int) (float64, error) {
 // adaptiveCandidate folds the new chunks [lo, hi) of round target t
 // into one candidate's score moments, returning the round's (ΣX, ΣX²).
 // s carries the shared source grid (read-only); w is private scratch.
-type adaptiveCandidate func(i, lo, hi, t, newWalks int, s, w *v2scratch) (sum, sumsq float64)
+type adaptiveCandidate func(i, lo, hi, t int, s, w *v2scratch) (sum, sumsq float64)
 
 // adaptiveSweep is the shared round loop of every adaptive query shape:
-// the source's walk grid grows prefix-stably round over round, cand
+// the source's walk stream grows prefix-stably round over round, cand
 // scores each unconverged candidate against the new chunks, and the
 // loop commits (estimate, radius) snapshots until every candidate's
 // radius is ≤ ε, the walk budget is spent, or the deadline intervenes.
@@ -272,10 +277,10 @@ func (e *Engine) adaptiveSweep(ctx context.Context, p *parallel.Pool, u int, pre
 	sums := make([]float64, nc)
 	sumsqs := make([]float64, nc)
 	conv := make([]bool, nc)
-	stride := e.opt.Steps + 1
+	sd := sideDraw{plan: e.v2Plan()}
 	s := e.v2pool.Get()
-	defer e.v2pool.Put(s)
-	prevCh, prevT := 0, 0
+	defer e.release(s)
+	prevCh := 0
 	deadline, hasDeadline := ctx.Deadline()
 	var lastRound time.Duration
 	for _, t := range ap.totals {
@@ -290,43 +295,21 @@ func (e *Engine) adaptiveSweep(ctx context.Context, p *parallel.Pool, u int, pre
 			break
 		}
 		start := time.Now()
-		// Rebuilding the chunk set from scratch is cheap (one seed draw
-		// per chunk) and prefix-stable: totals are whole chunks, so the
-		// first prevCh chunks come out bit-identical every round.
-		s.r.Reseed(e.sideSeed(u, saltWalkU))
-		s.cu = parallel.AppendChunks(s.cu[:0], t, parallel.DefaultChunkSize, &s.r)
-		nch := len(s.cu)
-		s.uoff = grow(s.uoff, nch+1)
-		gridLen := 0
-		for ci, c := range s.cu {
-			s.uoff[ci] = int32(gridLen)
-			gridLen += stride * c.Len()
-		}
-		s.uoff[nch] = int32(gridLen)
-		s.posU = growInt32Keep(s.posU, gridLen)
-		plan := e.v2Plan()
-		if p.Workers() <= 1 || nch-prevCh == 1 {
-			for ci := prevCh; ci < nch && p.Err() == nil; ci++ {
-				e.v2SourceChunk(plan, s, s, u, ci)
-			}
-		} else {
-			lo := prevCh
-			p.For(nch-lo, func(i int) {
-				w := e.v2pool.Get()
-				defer e.v2pool.Put(w)
-				e.v2SourceChunk(plan, s, w, u, lo+i)
-			})
-		}
+		// Laying the side out again is cheap (one seed draw per chunk)
+		// and prefix-stable: totals are whole chunks, so the first prevCh
+		// chunks are the earlier rounds', and only the new ones are drawn.
+		e.layoutSide(s, sd, u, saltWalkU, t)
+		e.drawSide(p, s, u, prevCh)
 		if p.Err() != nil {
 			break
 		}
-		lo, newWalks := prevCh, t-prevT
+		lo, nch := prevCh, len(s.cu)
 		if p.Workers() <= 1 {
 			for i := 0; i < nc && p.Err() == nil; i++ {
 				if conv[i] {
 					continue
 				}
-				a, q := cand(i, lo, nch, t, newWalks, s, s)
+				a, q := cand(i, lo, nch, t, s, s)
 				sums[i] += a
 				sumsqs[i] += q
 			}
@@ -336,8 +319,8 @@ func (e *Engine) adaptiveSweep(ctx context.Context, p *parallel.Pool, u int, pre
 					return
 				}
 				w := e.v2pool.Get()
-				defer e.v2pool.Put(w)
-				a, q := cand(i, lo, nch, t, newWalks, s, w)
+				defer e.release(w)
+				a, q := cand(i, lo, nch, t, s, w)
 				sums[i] += a
 				sumsqs[i] += q
 			})
@@ -362,7 +345,7 @@ func (e *Engine) adaptiveSweep(ctx context.Context, p *parallel.Pool, u int, pre
 		res.Radius = maxR
 		res.Walks = int64(t)
 		res.Rounds++
-		prevCh, prevT = nch, t
+		prevCh = nch
 		lastRound = time.Since(start)
 		if maxR <= ap.eps {
 			res.Converged = true
@@ -388,35 +371,28 @@ func (e *Engine) adaptiveSweep(ctx context.Context, p *parallel.Pool, u int, pre
 	return res, nil
 }
 
-// sampledCandidate returns the adaptiveCandidate that samples each
-// candidate's own v2 walks against the shared source grid — chunk
-// seeds match the pairwise shape's, so a sweep's per-candidate moments
-// are bit-identical to nc independent pair queries.
+// sampledCandidate returns the adaptiveCandidate that draws each
+// candidate's own v2 walks, as the source's side says (drawChunk),
+// against the shared source grid — chunk seeds match the pairwise
+// shape's, so a sweep's per-candidate moments are bit-identical to nc
+// independent pair queries.
 func (e *Engine) sampledCandidate(candidates []int, ap adaptivePlan) adaptiveCandidate {
-	plan := e.v2Plan()
 	n := e.opt.Steps
-	stride := n + 1
-	return func(i, lo, hi, t, newWalks int, s, w *v2scratch) (float64, float64) {
+	return func(i, lo, hi, t int, s, w *v2scratch) (float64, float64) {
 		v := candidates[i]
 		w.r.Reseed(e.sideSeed(v, saltWalkV))
 		w.cv = parallel.AppendChunks(w.cv[:0], t, parallel.DefaultChunkSize, &w.r)
 		var rs, rq float64
-		arcs := 0
 		for ci := lo; ci < hi; ci++ {
 			c := w.cv[ci]
 			W := c.Len()
-			w.posV = grow(w.posV, stride*W)
-			w.r.Reseed(c.Seed)
-			plan.Sample(v, n, W, &w.r, &w.arena, w.posV)
-			arcs += w.arena.Instantiated()
+			w.posV = grow(w.posV, (n+1)*W)
+			grid := e.drawChunk(w, &s.side, v, ci, c, w.posV)
 			w.xbuf = grow(w.xbuf, W)
-			cs, cq := mc.AccumulateWeighted(s.posU[s.uoff[ci]:s.uoff[ci+1]], w.posV, n, W, ap.coef, w.xbuf)
+			cs, cq := mc.AccumulateWeighted(s.posU[s.uoff[ci]:s.uoff[ci+1]], grid, n, W, ap.coef, w.xbuf)
 			rs += cs
 			rq += cq
 		}
-		e.kc.walks.Add(uint64(newWalks))
-		e.kc.arcs.Add(uint64(arcs))
-		e.kc.noteArena(w.arena.FootprintBytes())
 		return rs, rq
 	}
 }
@@ -566,7 +542,7 @@ func (e *Engine) adaptiveIndexed(ctx context.Context, p *parallel.Pool, x Source
 		return AdaptiveResult{}, err
 	}
 	n := e.opt.Steps
-	cand := func(i, lo, hi, t, newWalks int, s, w *v2scratch) (float64, float64) {
+	cand := func(i, lo, hi, t int, s, w *v2scratch) (float64, float64) {
 		v := candidates[i]
 		var rs, rq float64
 		for ci := lo; ci < hi; ci++ {

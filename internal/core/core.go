@@ -524,8 +524,8 @@ func (e *Engine) twoPhaseWith(p *parallel.Pool, u, v int) (float64, error) {
 		return Combine(exact, e.opt.C, e.opt.Steps), nil
 	}
 	s := e.v2pool.Get()
-	defer e.v2pool.Put(s)
-	return CombineTwoPhase(exact, e.meetingGridWith(p, s, u, v), e.opt.C, e.opt.L, e.opt.Steps), nil
+	defer e.release(s)
+	return CombineTwoPhase(exact, e.meetingGridWith(p, s, nil, u, v), e.opt.C, e.opt.L, e.opt.Steps), nil
 }
 
 // pools lazily builds the SR-SP filter-vector pools (the paper's offline
@@ -558,8 +558,8 @@ func (e *Engine) MeetingSpeedup(u, v int) ([]float64, error) {
 		return nil, err
 	}
 	su, sv := e.v2pool.Get(), e.v2pool.Get()
-	defer e.v2pool.Put(su)
-	defer e.v2pool.Put(sv)
+	defer e.release(su)
+	defer e.release(sv)
 	if err := e.propagatePair(e.pool, su, sv, u, v); err != nil {
 		return nil, err
 	}
@@ -618,8 +618,8 @@ func (e *Engine) srspWith(p *parallel.Pool, u, v int) (float64, error) {
 		return 0, err
 	}
 	su, sv := e.v2pool.Get(), e.v2pool.Get()
-	defer e.v2pool.Put(su)
-	defer e.v2pool.Put(sv)
+	defer e.release(su)
+	defer e.release(sv)
 	if l < e.opt.Steps {
 		if err := e.propagatePair(p, su, sv, u, v); err != nil {
 			return 0, err
@@ -655,7 +655,7 @@ func (e *Engine) SRSPMatrix(vertices []int) ([][]float64, error) {
 		fu, fv := e.pools()
 		e.pool.For(2*len(vertices), func(t int) {
 			w := e.v2pool.Get()
-			defer e.v2pool.Put(w)
+			defer e.release(w)
 			i := t / 2
 			if t%2 == 0 {
 				speedup.PropagateInto(&w.tab, &w.prop, fu, vertices[i], n)
@@ -684,7 +684,7 @@ func (e *Engine) SRSPMatrix(vertices []int) ([][]float64, error) {
 	}
 	e.pool.For(len(vertices), func(i int) {
 		w := e.v2pool.Get()
-		defer e.v2pool.Put(w)
+		defer e.release(w)
 		for j := range vertices {
 			out[i][j] = e.srspPair(exact[i], exact[j], tabU[i], tabV[j], l, w)
 		}

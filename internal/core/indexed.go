@@ -117,7 +117,7 @@ func (e *Engine) CheckIndex(x SourceIndex) error {
 // per graph vertex in each scratch that has run the fold.
 func (e *Engine) occupancyWith(p *parallel.Pool, v int, salt uint64) []matrix.Vec {
 	s := e.v2pool.Get()
-	defer e.v2pool.Put(s)
+	defer e.release(s)
 	e.sampleSide(p, s, sideDraw{}, v, salt)
 	return e.foldOccupancy(s)
 }

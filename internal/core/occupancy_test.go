@@ -142,7 +142,7 @@ func TestOccupancyFoldSkipsUnsampledChunks(t *testing.T) {
 	ran := func(ci int) bool { return ci != 1 }
 	s := e.v2pool.Get()
 	defer e.v2pool.Put(s)
-	e.layoutSide(s, v, saltWalkV)
+	e.layoutSide(s, sideDraw{}, v, saltWalkV, e.opt.N)
 	for ci := range s.cu {
 		if ran(ci) {
 			e.sideChunk(s, s, v, ci)

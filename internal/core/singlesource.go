@@ -22,8 +22,9 @@ import (
 //     against them, allocation-free in the sampled tail.
 //   - SRSP: u's counting tables are propagated once and dotted against
 //     one propagation per candidate.
-//   - SamplingV2: u's lockstep walk grids are sampled once per chunk
-//     into a shared buffer and replayed against every candidate,
+//   - SamplingV2: the same walk-grid driver as TwoPhase's tail, with
+//     the v2 Plan as the sampler: u's lockstep walk grids are drawn
+//     once and every candidate's walks are counted against them,
 //     allocation-free on a warmed engine.
 //
 // Every score is bit-identical to the pairwise Compute(alg, u, v) —
@@ -194,7 +195,7 @@ func (e *Engine) twoPhaseKernel(p *parallel.Pool, u int, candidates []int, out [
 	var s *v2scratch
 	if l < n {
 		s = e.v2pool.Get()
-		defer e.v2pool.Put(s)
+		defer e.release(s)
 		k := sideKey{u, saltWalkU}
 		e.sampleSide(p, s, memo.plan(e, k), u, saltWalkU)
 		memo.store(e, p, k, s.side, s.gridU)
@@ -217,7 +218,7 @@ func (e *Engine) twoPhaseKernel(p *parallel.Pool, u int, candidates []int, out [
 			return
 		}
 		w := e.v2pool.Get()
-		defer e.v2pool.Put(w)
+		defer e.release(w)
 		k := sideKey{candidates[i], saltWalkV}
 		sd := memo.plan(e, k)
 		out[i] = CombineTwoPhase(exact, e.candidateGrid(s, w, &sd, candidates[i]), e.opt.C, e.opt.L, n)
@@ -237,7 +238,7 @@ func (e *Engine) srspKernel(p *parallel.Pool, u int, candidates []int, out []flo
 		return err
 	}
 	s := e.v2pool.Get()
-	defer e.v2pool.Put(s)
+	defer e.release(s)
 	var fv *speedup.Filters
 	if l < n {
 		var fu *speedup.Filters
@@ -251,7 +252,7 @@ func (e *Engine) srspKernel(p *parallel.Pool, u int, candidates []int, out []flo
 			return
 		}
 		w := e.v2pool.Get()
-		defer e.v2pool.Put(w)
+		defer e.release(w)
 		if l < n {
 			speedup.PropagateInto(&w.tab, &w.prop, fv, candidates[i], n)
 		}

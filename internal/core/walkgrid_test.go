@@ -126,7 +126,7 @@ func checkGridTail(t *testing.T, where string, e *Engine, pairs [][2]int, tails 
 		want[i] = CombineTwoPhase(exact, tails[i], e.opt.C, e.opt.L, e.opt.Steps)
 
 		s := e.v2pool.Get()
-		got := e.meetingGridWith(e.pool, s, p[0], p[1])
+		got := e.meetingGridWith(e.pool, s, nil, p[0], p[1])
 		for k := range tails[i] {
 			if !sameBits(got[k], tails[i][k]) {
 				t.Fatalf("%s (%d,%d): grid tail m̂(%d) = %v, MeetingSampled has %v", where, p[0], p[1], k, got[k], tails[i][k])
@@ -187,7 +187,7 @@ func TestTwoPhaseGridTailCancelled(t *testing.T) {
 		}
 		p := e.pool.WithContext(ctx)
 		s := e.v2pool.Get()
-		for k, m := range e.meetingGridWith(p, s, 1, 2) {
+		for k, m := range e.meetingGridWith(p, s, nil, 1, 2) {
 			if m != 0 {
 				t.Fatalf("par=%d: cancelled grid tail m̂(%d) = %v, want 0", par, k, m)
 			}

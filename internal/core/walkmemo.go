@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"usimrank/internal/cache"
+	"usimrank/internal/mc"
 	"usimrank/internal/parallel"
 )
 
@@ -126,9 +127,14 @@ func (m *walkMemo) changedAgo(vertices int) []uint8 {
 	return m.ago
 }
 
-// sideDraw is how one query draws one vertex-side. The zero value draws
-// every chunk into the caller's scratch and keeps nothing.
+// sideDraw is how one query draws one vertex-side: with which sampler
+// (see drawChunk) and what the memo may reuse or keep. The zero value
+// draws every chunk with mc.SampleGrid into the caller's scratch and
+// keeps nothing. Memo keys do not name the sampler, so only
+// walkMemo.plan sets prev or keep, for SR-TS's sides, which have no
+// plan: a side drawn with a plan never keeps or reuses a grid.
 type sideDraw struct {
+	plan *mc.Plan   // draw with plan.Sample; nil: mc.SampleGrid
 	prev *sideGrids // kept grids whose chunks may be reused
 	ago  []uint8    // changedAgo, when prev is older than this generation
 	d    uint8      // batches since prev was drawn

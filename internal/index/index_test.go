@@ -133,7 +133,7 @@ func TestPatchMatchesFreshRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	patched, n, err := Patch(x, succ, g, ups)
+	patched, n, err := Patch(x, succ, ups)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestPatchEmptyBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	patched, n, err := Patch(x, succ, g, nil)
+	patched, n, err := Patch(x, succ, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestPatchRejectsWrongLineage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Patch(x, e, g, nil); err == nil {
+	if _, _, err := Patch(x, e, nil); err == nil {
 		t.Fatal("patch onto the same generation accepted")
 	}
 	succ, _, err := e.ApplyUpdates(nil)
@@ -198,12 +198,12 @@ func TestPatchRejectsWrongLineage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Patch(x, succ2, g, nil); err == nil {
+	if _, _, err := Patch(x, succ2, nil); err == nil {
 		t.Fatal("patch across two generations accepted")
 	}
 	badMeta := x.meta
 	badMeta.Seed = 99
-	if _, _, err := Patch(fromParts(badMeta, x.rows), succ, g, nil); err == nil {
+	if _, _, err := Patch(fromParts(badMeta, x.rows), succ, nil); err == nil {
 		t.Fatal("patch with mismatched seed accepted")
 	}
 }
@@ -261,7 +261,7 @@ func TestPatchDropsPredecessor(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			patched, _, err := Patch(x, succ, g, ups)
+			patched, _, err := Patch(x, succ, ups)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -11,9 +11,9 @@ import (
 
 // Patch derives the successor generation's index from x after an
 // incremental update batch: succ must be the engine ApplyUpdates
-// returned, and updates the batch that produced it. oldG, the
-// predecessor's graph, is not read: the invalidation BFS needs succ's
-// graph alone (see below). Only vertices within the walk horizon of a
+// returned, and updates the batch that produced it. The invalidation
+// BFS needs succ's graph alone (see below). Only vertices within the
+// walk horizon of a
 // touched arc head are recomputed (see the package comment for why
 // that set is exact); every other row is shared with x, so the patched
 // index shares x's backing (the lineage's mapping, see Index) but does
@@ -23,7 +23,7 @@ import (
 // The result is bit-identical to Build(succ) — the fresh-rebuild
 // equivalence the index-lifecycle tests pin — at the cost of a bounded
 // BFS plus O(patched vertices) occupancy passes instead of O(|V|).
-func Patch(x *Index, succ *core.Engine, oldG *ugraph.Graph, updates []ugraph.ArcUpdate) (*Index, int, error) {
+func Patch(x *Index, succ *core.Engine, updates []ugraph.ArcUpdate) (*Index, int, error) {
 	opt := succ.Options()
 	switch {
 	case succ.Generation() != x.meta.Generation+1:

@@ -23,10 +23,11 @@ import (
 // why v2 is a separate strategy and this is not). A warmed arena makes
 // SampleGrid allocation-free.
 //
-// The engine draws two kernels' walks with it: the occupancy rows of
-// the index plane (build, patch and the indexed residual sample) and
-// SR-TS's sampled tail, which counts meetings on the grids with
-// CountMeets. The Sampling algorithm still calls Sample, its reference.
+// The engine's walk driver (core's walkgrid.go) draws with it every
+// grid whose side has no Plan: the occupancy rows of the index plane
+// (build, patch and the indexed residual sample) and SR-TS's sampled
+// tail, which counts meetings on the grids with CountMeets. The
+// Sampling algorithm still calls Sample, its reference.
 func SampleGrid(g *ugraph.Graph, src, steps, W int, r *rng.RNG, a *Arena, pos []int32) {
 	if len(a.logV) < steps {
 		a.logV = make([]int32, steps)

@@ -50,7 +50,9 @@ type Plan struct {
 
 // BuildPlan precomputes the arc-sampling structure of g. The SimRank
 // engine builds one per graph generation over the reversed graph (where
-// the walks run) and reuses it for every SamplingV2 query.
+// the walks run), and its walk driver (core's walkgrid.go) draws with
+// it, through Sample, every grid of a SamplingV2 query (pair and
+// single-source) and of an adaptive (ε, δ) round.
 func BuildPlan(g *ugraph.Graph) *Plan {
 	n := g.NumVertices()
 	p := &Plan{

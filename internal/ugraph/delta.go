@@ -161,17 +161,25 @@ func (d *Delta) Len() int { return len(d.staged) }
 func (d *Delta) NetChanges() int {
 	n := 0
 	for key, st := range d.staged {
-		basep := d.base.Prob(int(key[0]), int(key[1]))
-		switch {
-		case st.exists && basep == 0:
-			n++ // net insert
-		case !st.exists && basep > 0:
-			n++ // net delete
-		case st.exists && basep > 0 && math.Float64bits(st.p) != math.Float64bits(basep):
-			n++ // net reweight
+		if d.netChanged(key, st) {
+			n++
 		}
 	}
 	return n
+}
+
+// netChanged reports whether arc key's staged state st differs from the
+// base graph: a net insert, a net delete, or a reweight whose bits
+// differ.
+func (d *Delta) netChanged(key [2]int32, st arcState) bool {
+	basep := d.base.Prob(int(key[0]), int(key[1]))
+	switch {
+	case st.exists && basep == 0:
+		return true // net insert
+	case !st.exists && basep > 0:
+		return true // net delete
+	}
+	return st.exists && basep > 0 && math.Float64bits(st.p) != math.Float64bits(basep) // net reweight
 }
 
 // NetChangedHeads returns the sorted distinct heads (target vertices)
@@ -185,11 +193,7 @@ func (d *Delta) NetChangedHeads() []int32 {
 	seen := make(map[int32]bool, len(d.staged))
 	var heads []int32
 	for key, st := range d.staged {
-		basep := d.base.Prob(int(key[0]), int(key[1]))
-		changed := (st.exists && basep == 0) ||
-			(!st.exists && basep > 0) ||
-			(st.exists && basep > 0 && math.Float64bits(st.p) != math.Float64bits(basep))
-		if changed && !seen[key[1]] {
+		if d.netChanged(key, st) && !seen[key[1]] {
 			seen[key[1]] = true
 			heads = append(heads, key[1])
 		}

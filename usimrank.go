@@ -268,12 +268,12 @@ func LoadIndexFile(path string) (*Index, error) { return index.Load(path) }
 
 // PatchIndex derives the successor generation's index after
 // Engine.ApplyUpdates without a full rebuild: succ is the engine
-// ApplyUpdates returned, and updates the batch. oldG, the predecessor's
-// graph, is accepted but not read. Only vertices within the walk horizon of a touched arc head
+// ApplyUpdates returned, and updates the batch. oldG, the old graph, is
+// ignored. Only vertices within the walk horizon of a touched arc head
 // are recomputed; the result is bit-identical to BuildIndex(succ).
 // Returns the patched index and the number of recomputed vertices.
 func PatchIndex(x *Index, succ *Engine, oldG *Graph, updates []ArcUpdate) (*Index, int, error) {
-	return index.Patch(x, succ, oldG, updates)
+	return index.Patch(x, succ, updates)
 }
 
 // TopKResult is one scored vertex (or pair) of a top-k query.
