@@ -99,45 +99,46 @@ func BenchmarkSingleSource(b *testing.B) {
 // BenchmarkSingleSource, one worker, both kernels warmed before the
 // timed region. The v2 legs run the structure-of-arrays lockstep walks
 // over the precomputed arc-sampling plan; the v1 legs run the original
-// per-walk kernel. The bench gate enforces a ≥2× v2-over-v1 geomean and
-// 0 allocs/op on every v2 leg (the arena and scratch pools make the
-// steady state allocation-free); the estimates themselves are pinned
-// equal to the oracle by TestSampledAlgorithmsConvergeToOracle and
-// bit-stable by TestSamplingV2Golden.
+// per-walk map kernel, frozen as test code (v1MapPath, pinned to
+// AlgSampling's scores by TestFrozenV1LegsMatchSampling). The bench
+// gate enforces a ≥2× v2-over-v1 geomean and 0 allocs/op on every v2
+// leg (the arena and scratch pools make the steady state
+// allocation-free); the estimates themselves are pinned equal to the
+// oracle by TestSampledAlgorithmsConvergeToOracle and bit-stable by
+// TestSamplingV2Golden.
 func BenchmarkSamplingV2(b *testing.B) {
-	g := gen.WithUniformProbs(gen.RMAT(9, 4096, 0.45, 0.22, 0.22, rng.New(1)), 0.2, 0.9, rng.New(2))
+	g := samplingBenchGraph()
 	n := g.NumVertices()
 	e, err := usimrank.New(g, usimrank.Options{N: 1024, Seed: 1, Parallelism: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, alg := range []usimrank.Algorithm{usimrank.AlgSampling, usimrank.AlgSamplingV2} {
-		if _, err := e.Compute(alg, 0, 1); err != nil { // build the v2 plan + warm the pools offline
-			b.Fatal(err)
-		}
+	if _, err := e.Compute(usimrank.AlgSamplingV2, 0, 1); err != nil { // build the v2 plan + warm the pools offline
+		b.Fatal(err)
 	}
-	cands := make([]int, 64)
-	for i := range cands {
-		cands[i] = (i * 13) % n
-	}
+	cands := samplingBenchCandidates(n)
 	out := make([]float64, len(cands))
-	for _, alg := range []usimrank.Algorithm{usimrank.AlgSampling, usimrank.AlgSamplingV2} {
-		if err := e.SingleSourceAgainstInto(alg, 0, cands, out); err != nil { // size the scratch pools
-			b.Fatal(err)
-		}
+	if err := e.SingleSourceAgainstInto(usimrank.AlgSamplingV2, 0, cands, out); err != nil { // size the scratch pools
+		b.Fatal(err)
 	}
+	v1 := newV1MapPath(e)
 	legs := []struct {
-		name string
-		alg  usimrank.Algorithm
+		name   string
+		score  func(u, v int) error
+		source func(u int) error
 	}{
-		{"v1", usimrank.AlgSampling},
-		{"v2", usimrank.AlgSamplingV2},
+		{"v1",
+			func(u, v int) error { v1.score(u, v); return nil },
+			func(u int) error { v1.source(u, cands, out); return nil }},
+		{"v2",
+			func(u, v int) error { _, err := e.Compute(usimrank.AlgSamplingV2, u, v); return err },
+			func(u int) error { return e.SingleSourceAgainstInto(usimrank.AlgSamplingV2, u, cands, out) }},
 	}
 	for _, leg := range legs {
 		b.Run("score/"+leg.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := e.Compute(leg.alg, i%n, (i*7+1)%n); err != nil {
+				if err := leg.score(i%n, (i*7+1)%n); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -147,7 +148,7 @@ func BenchmarkSamplingV2(b *testing.B) {
 		b.Run("source/"+leg.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if err := e.SingleSourceAgainstInto(leg.alg, i%n, cands, out); err != nil {
+				if err := leg.source(i % n); err != nil {
 					b.Fatal(err)
 				}
 			}

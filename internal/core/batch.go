@@ -20,7 +20,7 @@ func (e *Engine) computeWith(p *parallel.Pool, alg Algorithm, u, v int) (float64
 	if err != nil {
 		return 0, err
 	}
-	return st.pair(e, p, u, v)
+	return st.pair(e, p, st, u, v)
 }
 
 // Clone returns an engine over the same graph with the same options but

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -401,18 +402,10 @@ func TwoPhaseErrorBound(c float64, l, n int) float64 {
 	return math.Pow(c, float64(l+1)) - math.Pow(c, float64(n))
 }
 
-// Baseline computes s(n)(u,v) exactly (Sec. VI-A).
+// Baseline computes s(n)(u,v) exactly (Sec. VI-A): Eq. 15 with every
+// step exact.
 func (e *Engine) Baseline(u, v int) (float64, error) {
-	m, err := e.MeetingExact(u, v, e.opt.Steps)
-	if err != nil {
-		return 0, err
-	}
-	return Combine(m, e.opt.C, e.opt.Steps), nil
-}
-
-// baselineWith is Baseline in the pair-kernel shape; it samples nothing.
-func (e *Engine) baselineWith(_ *parallel.Pool, u, v int) (float64, error) {
-	return e.Baseline(u, v)
+	return e.twoPhaseWith(e.pool, AlgBaseline.row(), u, v)
 }
 
 // Per-side walk-stream salts: a vertex's u-side and v-side walk sets
@@ -436,96 +429,65 @@ func (e *Engine) sideSeed(v int, salt uint64) uint64 {
 	return x
 }
 
-// walkChunks splits the N walk samples of one vertex-side into
-// fixed-size chunks, each with its own RNG seed drawn from the side's
-// stream in chunk order. The chunk set depends only on (engine seed,
-// vertex, side, N), so every query shape — pairwise, single-source,
-// batch — slices the same vertex's walks identically.
-func (e *Engine) walkChunks(v int, salt uint64) []parallel.Chunk {
-	return parallel.SplitChunks(e.opt.N, parallel.DefaultChunkSize, rng.New(e.sideSeed(v, salt)))
-}
-
 // MeetingSampled estimates m(k)(u,v) for k = 0..Steps with the Sampling
-// algorithm (Fig. 4). The N sample pairs are split into fixed-size
-// chunks; chunk i pairs the i-th chunk of u's walk stream with the i-th
-// chunk of v's walk stream, and the chunks run concurrently on the
-// engine's pool. Merging the integer per-chunk meeting counts is
-// order-independent, so the estimate is bit-identical for every
-// Parallelism setting.
+// algorithm (Fig. 4): the sampled tail of Sampling and SR-TS, drawn on
+// pooled grids by meetingGridWith. The N sample pairs are split into
+// fixed-size chunks; chunk i pairs the i-th chunk of u's walk stream
+// with the i-th chunk of v's, the chunks run concurrently on the
+// engine's pool, and their integer meeting counts merge in chunk
+// order, so the estimate is bit-identical for every Parallelism.
 func (e *Engine) MeetingSampled(u, v int) ([]float64, error) {
-	return e.meetingSampledWith(e.pool, u, v)
-}
-
-// meetingSampledWith is MeetingSampled on an explicit pool: Batch
-// parallelises across pairs and passes nil here so the two fan-out
-// levels never multiply into Parallelism² goroutines.
-func (e *Engine) meetingSampledWith(p *parallel.Pool, u, v int) ([]float64, error) {
 	if err := e.checkVertex(u); err != nil {
 		return nil, err
 	}
 	if err := e.checkVertex(v); err != nil {
 		return nil, err
 	}
-	cu := e.walkChunks(u, saltWalkU)
-	cv := e.walkChunks(v, saltWalkV)
-	counts := make([][]int, len(cu))
-	p.For(len(cu), func(ci int) {
-		wu := mc.Sample(e.rev, u, e.opt.Steps, cu[ci].Len(), rng.New(cu[ci].Seed))
-		wv := mc.Sample(e.rev, v, e.opt.Steps, cv[ci].Len(), rng.New(cv[ci].Seed))
-		counts[ci] = mc.MeetingCounts(wu, wv)
-		e.kc.walks.Add(uint64(cu[ci].Len() + cv[ci].Len()))
-	})
-	return e.mergeMeetingCounts(counts), nil
+	s := e.v2pool.Get()
+	defer e.release(s)
+	return slices.Clone(e.meetingGridWith(e.pool, s, nil, u, v)), nil
 }
 
-// mergeMeetingCounts folds per-chunk integer meeting counts (in chunk
-// order) into the m̂(k) estimate of Eq. 13.
-func (e *Engine) mergeMeetingCounts(counts [][]int) []float64 {
-	m := make([]float64, e.opt.Steps+1)
-	for _, c := range counts {
-		for k, x := range c {
-			m[k] += float64(x)
-		}
-	}
-	for k := range m {
-		m[k] /= float64(e.opt.N)
-	}
-	return m
-}
-
-// Sampling computes ŝ(n)(u,v) by pure Monte Carlo (Sec. VI-B, Eq. 14).
+// Sampling computes ŝ(n)(u,v) by pure Monte Carlo (Sec. VI-B, Eq. 14):
+// Eq. 15 with no step exact.
 func (e *Engine) Sampling(u, v int) (float64, error) {
-	return e.samplingWith(e.pool, u, v)
-}
-
-func (e *Engine) samplingWith(p *parallel.Pool, u, v int) (float64, error) {
-	m, err := e.meetingSampledWith(p, u, v)
-	if err != nil {
-		return 0, err
-	}
-	return Combine(m, e.opt.C, e.opt.Steps), nil
+	return e.twoPhaseWith(e.pool, AlgSampling.row(), u, v)
 }
 
 // TwoPhase computes ŝ(n)(u,v) with the SR-TS algorithm (Sec. VI-C):
-// exact meeting probabilities for k ≤ l, sampled for l < k ≤ n. The
-// sampled tail is MeetingSampled's estimate bit for bit, drawn on
-// pooled grids (meetingGridWith).
+// exact meeting probabilities for k ≤ l, sampled for l < k ≤ n.
 func (e *Engine) TwoPhase(u, v int) (float64, error) {
-	return e.twoPhaseWith(e.pool, u, v)
+	return e.twoPhaseWith(e.pool, AlgTwoPhase.row(), u, v)
 }
 
-func (e *Engine) twoPhaseWith(p *parallel.Pool, u, v int) (float64, error) {
-	l := e.splitDepth()
-	exact, err := e.MeetingExact(u, v, l)
-	if err != nil {
+// twoPhaseWith is the pair kernel of Eq. 15 for the strategies whose
+// tail is drawn as walks: exact meeting probabilities for k ≤ l, st's
+// exact depth (Steps for Baseline, L for SR-TS, −1 for Sampling and
+// Sampling-v2), and meetingGridWith's sampled m̂(k), drawn with st's
+// sampler, above it. At l = −1 it reads no exact row, and CombineTwoPhase
+// is Combine operation for operation. Batch passes its own pool, so the
+// two fan-out levels never multiply into Parallelism² goroutines.
+func (e *Engine) twoPhaseWith(p *parallel.Pool, st *strategy, u, v int) (float64, error) {
+	if err := e.checkVertex(u); err != nil {
 		return 0, err
 	}
-	if e.opt.L >= e.opt.Steps {
-		return Combine(exact, e.opt.C, e.opt.Steps), nil
+	if err := e.checkVertex(v); err != nil {
+		return 0, err
+	}
+	n, l := e.opt.Steps, st.depth(e)
+	var exact []float64
+	if l >= 0 {
+		var err error
+		if exact, err = e.MeetingExact(u, v, l); err != nil {
+			return 0, err
+		}
+	}
+	if l >= n {
+		return Combine(exact, e.opt.C, n), nil
 	}
 	s := e.v2pool.Get()
 	defer e.release(s)
-	return CombineTwoPhase(exact, e.meetingGridWith(p, s, nil, u, v), e.opt.C, e.opt.L, e.opt.Steps), nil
+	return CombineTwoPhase(exact, e.meetingGridWith(p, s, st.tailPlan(e), u, v), e.opt.C, l, n), nil
 }
 
 // pools lazily builds the SR-SP filter-vector pools (the paper's offline
@@ -595,20 +557,20 @@ func (e *Engine) propagatePair(p *parallel.Pool, su, sv *v2scratch, u, v int) er
 // SRSP computes ŝ(n)(u,v) with the two-phase algorithm whose sampling
 // stage uses the speed-up technique (the paper's SR-SP).
 func (e *Engine) SRSP(u, v int) (float64, error) {
-	return e.srspWith(e.pool, u, v)
+	return e.srspWith(e.pool, AlgSRSP.row(), u, v)
 }
 
 // srspWith is SRSP on an explicit pool. Its state is pooled: the two
 // counting tables and the estimate live in v2scratch buffers, so with
 // the rows cached and the filters built it allocates nothing.
-func (e *Engine) srspWith(p *parallel.Pool, u, v int) (float64, error) {
+func (e *Engine) srspWith(p *parallel.Pool, st *strategy, u, v int) (float64, error) {
 	if err := e.checkVertex(u); err != nil {
 		return 0, err
 	}
 	if err := e.checkVertex(v); err != nil {
 		return 0, err
 	}
-	l := e.splitDepth()
+	l := st.depth(e)
 	ru, err := e.exactRows(u, l)
 	if err != nil {
 		return 0, err

@@ -12,7 +12,7 @@ import (
 // and keep the v2 kernel's zero-allocation steady state intact.
 type kernelCounters struct {
 	walks     atomic.Uint64 // random walks sampled (all Monte Carlo kernels)
-	reused    atomic.Uint64 // walks SR-TS's source kernel took from the walk memo
+	reused    atomic.Uint64 // walks the source kernel took from the walk memo
 	arcs      atomic.Uint64 // arc instantiations of the chunks drawn with a Plan
 	arenaHigh atomic.Uint64 // largest arena footprint after a Plan chunk, bytes
 }
@@ -42,19 +42,21 @@ func (e *Engine) release(w *v2scratch) {
 // counters, the raw material of the /metrics kernel gauges.
 type KernelStats struct {
 	// Walks is the total number of random walks sampled, across all
-	// Monte Carlo kernels (v1 sampling, two-phase tails, v2 and its
+	// Monte Carlo kernels (Sampling, two-phase tails, v2 and its
 	// adaptive rounds, occupancy / index-residual sampling). A query's
 	// walk-grid draws count once their scratch is released.
 	Walks uint64
-	// WalksReused counts the walks SR-TS's single-source kernel took
-	// from its walk memo instead of drawing them: chunks kept on an
-	// earlier query whose walks left no row changed since. They are not
-	// in Walks; drawn plus reused is the walks the queries needed.
+	// WalksReused counts the walks the Sampling and SR-TS single-source
+	// kernel took from its walk memo instead of drawing them: chunks
+	// kept on an earlier query whose walks left no row changed since.
+	// They are not in Walks; drawn plus reused is the walks the queries
+	// needed.
 	WalksReused uint64
 	// ArcsInstantiated counts possible-world arc-set instantiations of
 	// the v2 walks: the chunks the walk-grid driver draws with the
 	// engine's Plan (SamplingV2 and the adaptive rounds). Chunks drawn
-	// with mc.SampleGrid or mc.Sample do not count here.
+	// with mc.SampleGrid (Sampling, SR-TS's tail, the occupancy fold) do
+	// not count here.
 	ArcsInstantiated uint64
 	// ArenaHighWaterBytes is the largest single walk arena footprint
 	// observed after drawing a chunk with the Plan.

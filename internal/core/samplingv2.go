@@ -14,10 +14,10 @@ import (
 // vertex, side), fixed-size chunks, integer per-chunk counts merged in
 // chunk order, bit-identical at every Parallelism — but consumes
 // randomness in the v2 kernel's order, so it is pinned by its own
-// golden files rather than v1's. Its walks are drawn by the engine's
-// walk driver (walkgrid.go) with the engine's Plan as the sampler: the
-// pair kernel is meetingGridWith, the source kernel sampleSide plus one
-// candidateGrid per candidate, the same code SR-TS's tail runs.
+// golden files rather than v1's. Its kernels are Eq. 15's
+// (twoPhaseWith, twoPhaseKernel) at exact depth −1 with the engine's
+// Plan as the walk sampler: the same code Sampling and SR-TS's tail
+// run, on the walk driver (walkgrid.go).
 //
 // The whole path is allocation-free at steady state: chunk sets,
 // position grids, counts and the walk arena live in pooled v2scratch
@@ -96,48 +96,7 @@ func (e *Engine) v2Plan() *mc.Plan {
 // and across query shapes, but not to Sampling's: the two strategies
 // consume randomness differently and are pinned independently.
 func (e *Engine) SamplingV2(u, v int) (float64, error) {
-	return e.samplingV2With(e.pool, u, v)
-}
-
-func (e *Engine) samplingV2With(p *parallel.Pool, u, v int) (float64, error) {
-	if err := e.checkVertex(u); err != nil {
-		return 0, err
-	}
-	if err := e.checkVertex(v); err != nil {
-		return 0, err
-	}
-	s := e.v2pool.Get()
-	defer e.release(s)
-	return Combine(e.meetingGridWith(p, s, e.v2Plan(), u, v), e.opt.C, e.opt.Steps), nil
-}
-
-// samplingV2Kernel is the SamplingV2 single-source kernel: the source's
-// walk grids are drawn once (sampleSide), then every candidate draws
-// only its own side, as the source's, and counts meets against the
-// shared grids (candidateGrid). Per-chunk integer counts accumulate in
-// chunk order — the exact pairwise merge — so every score is
-// bit-identical to SamplingV2(u, candidates[i]). The serial candidate
-// loop hands no closure to the pool, which keeps the kernel
-// allocation-free at Parallelism 1.
-func (e *Engine) samplingV2Kernel(p *parallel.Pool, u int, candidates []int, out []float64, _ []error) error {
-	s := e.v2pool.Get()
-	defer e.release(s)
-	e.sampleSide(p, s, sideDraw{plan: e.v2Plan()}, u, saltWalkU)
-	if p.Workers() <= 1 {
-		for i := 0; i < len(candidates) && p.Err() == nil; i++ {
-			out[i] = Combine(e.candidateGrid(s, s, &s.side, candidates[i]), e.opt.C, e.opt.Steps)
-		}
-		return nil
-	}
-	// On a cancelled pool view the source grid may be incomplete, but
-	// then the candidate fan-out below runs no tasks either; callers of
-	// the Ctx query shapes discard the partial output.
-	p.For(len(candidates), func(i int) {
-		w := e.v2pool.Get()
-		defer e.release(w)
-		out[i] = Combine(e.candidateGrid(s, w, &s.side, candidates[i]), e.opt.C, e.opt.Steps)
-	})
-	return nil
+	return e.twoPhaseWith(e.pool, AlgSamplingV2.row(), u, v)
 }
 
 // High-water buffer helpers: reuse capacity, reallocate only on growth.

@@ -47,41 +47,48 @@ func TestSamplingV2AgreesWithV1(t *testing.T) {
 
 // TestSamplingV2ScoreAllocFree is half of the allocation regression
 // gate's contract: on a warmed engine at Parallelism 1, a pairwise
-// SamplingV2 score performs zero heap allocations.
+// SamplingV2 score performs zero heap allocations, and so does a
+// Sampling score, which runs the same Eq. 15 kernel with mc.SampleGrid
+// as the sampler.
 func TestSamplingV2ScoreAllocFree(t *testing.T) {
 	g := smallTestGraph()
-	e := newEngine(t, g, Options{N: 1024, Seed: 5, Parallelism: 1})
-	if _, err := e.Compute(AlgSamplingV2, 3, 17); err != nil { // build plan, warm scratch
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := e.Compute(AlgSamplingV2, 3, 17); err != nil {
+	for _, alg := range []Algorithm{AlgSamplingV2, AlgSampling} {
+		e := newEngine(t, g, Options{N: 1024, Seed: 5, Parallelism: 1})
+		if _, err := e.Compute(alg, 3, 17); err != nil { // build plan, warm scratch
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("warmed SamplingV2 score allocates %v per op, want 0", allocs)
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := e.Compute(alg, 3, 17); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("warmed %v score allocates %v per op, want 0", alg, allocs)
+		}
 	}
 }
 
 // TestSamplingV2SingleSourceAllocFree is the other half: a warmed
 // candidate-restricted single-source sweep through the Into API
-// allocates nothing either.
+// allocates nothing either, for SamplingV2 and for Sampling (whose
+// sides the walk memo keeps by the measured runs).
 func TestSamplingV2SingleSourceAllocFree(t *testing.T) {
 	g := smallTestGraph()
-	e := newEngine(t, g, Options{N: 1024, Seed: 5, Parallelism: 1})
 	candidates := []int{1, 4, 9, 33, 47, 60}
 	out := make([]float64, len(candidates))
-	if err := e.SingleSourceAgainstInto(AlgSamplingV2, 3, candidates, out); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if err := e.SingleSourceAgainstInto(AlgSamplingV2, 3, candidates, out); err != nil {
+	for _, alg := range []Algorithm{AlgSamplingV2, AlgSampling} {
+		e := newEngine(t, g, Options{N: 1024, Seed: 5, Parallelism: 1})
+		if err := e.SingleSourceAgainstInto(alg, 3, candidates, out); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("warmed SamplingV2 single-source allocates %v per op, want 0", allocs)
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := e.SingleSourceAgainstInto(alg, 3, candidates, out); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("warmed %v single-source allocates %v per op, want 0", alg, allocs)
+		}
 	}
 }
 

@@ -4,28 +4,21 @@ import (
 	"fmt"
 
 	"usimrank/internal/matrix"
-	"usimrank/internal/mc"
 	"usimrank/internal/parallel"
-	"usimrank/internal/rng"
 	"usimrank/internal/speedup"
 )
 
 // SingleSource computes s(u, v) for every vertex v of the graph with
 // the selected algorithm, doing the u-side work exactly once:
 //
-//   - Baseline: u's exact transition rows are computed once and dotted
-//     against every candidate's (cached) rows.
-//   - Sampling: u's N walks are sampled once per chunk and replayed
-//     against every candidate's walks.
-//   - TwoPhase: u's exact prefix rows and u's walk grids, each once;
-//     every candidate's walks are drawn into pooled grids and counted
-//     against them, allocation-free in the sampled tail.
+//   - Baseline, Sampling, TwoPhase, SamplingV2 (Eq. 15's kernel): u's
+//     exact rows to the strategy's depth and u's walk grids, each once;
+//     every candidate's rows are dotted against u's, and its walks are
+//     drawn into pooled grids and counted against u's, allocation-free
+//     in the sampled tail. SamplingV2 draws with the v2 Plan, the others
+//     with mc.SampleGrid.
 //   - SRSP: u's counting tables are propagated once and dotted against
 //     one propagation per candidate.
-//   - SamplingV2: the same walk-grid driver as TwoPhase's tail, with
-//     the v2 Plan as the sampler: u's lockstep walk grids are drawn
-//     once and every candidate's walks are counted against them,
-//     allocation-free on a warmed engine.
 //
 // Every score is bit-identical to the pairwise Compute(alg, u, v) —
 // per-side walk streams and deterministic work splitting guarantee it —
@@ -106,77 +99,20 @@ func (e *Engine) singleSourceInto(p *parallel.Pool, alg Algorithm, u int, candid
 	if len(candidates) == 0 {
 		return nil // nothing to score; skip the u-side preparation too
 	}
-	return st.source(e, p, u, candidates, out, errs)
+	return st.source(e, p, st, u, candidates, out, errs)
 }
 
-// baselineKernel: exact rows of u once, one row lookup + dot per
-// candidate. Identical arithmetic to Baseline(u, v).
-func (e *Engine) baselineKernel(p *parallel.Pool, u int, candidates []int, out []float64, errs []error) error {
-	n := e.opt.Steps
-	ru, err := e.exactRows(u, n)
-	if err != nil {
-		return err
-	}
-	p.For(len(candidates), func(i int) {
-		rv, err := e.exactRows(candidates[i], n)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		m := make([]float64, n+1)
-		for k := 0; k <= n; k++ {
-			m[k] = ru[k].Dot(rv[k])
-		}
-		out[i] = Combine(m, e.opt.C, n)
-	})
-	return nil
-}
-
-// sourceWalks samples the source's walk chunks once, fanned out over p.
-// The result is shared read-only by every candidate task.
-func (e *Engine) sourceWalks(p *parallel.Pool, u int) []*mc.Walks {
-	cu := e.walkChunks(u, saltWalkU)
-	walks := make([]*mc.Walks, len(cu))
-	p.For(len(cu), func(ci int) {
-		walks[ci] = mc.Sample(e.rev, u, e.opt.Steps, cu[ci].Len(), rng.New(cu[ci].Seed))
-		e.kc.walks.Add(uint64(cu[ci].Len()))
-	})
-	return walks
-}
-
-// candidateMeeting samples one candidate's walk chunks and replays them
-// against the source's pre-sampled walks, returning the merged m̂(k)
-// estimate. The per-chunk integer counts are summed in chunk order —
-// exactly the pairwise merge — so the estimate is bit-identical to
-// MeetingSampled(u, v).
-func (e *Engine) candidateMeeting(walksU []*mc.Walks, v int) []float64 {
-	cv := e.walkChunks(v, saltWalkV)
-	counts := make([][]int, len(cv))
-	for ci := range cv {
-		wv := mc.Sample(e.rev, v, e.opt.Steps, cv[ci].Len(), rng.New(cv[ci].Seed))
-		counts[ci] = mc.MeetingCounts(walksU[ci], wv)
-	}
-	e.kc.walks.Add(uint64(e.opt.N)) // the chunks partition exactly N walks
-	return e.mergeMeetingCounts(counts)
-}
-
-// samplingKernel: u's walks sampled once per chunk, replayed against
-// every candidate's walks. Identical arithmetic to Sampling(u, v).
-func (e *Engine) samplingKernel(p *parallel.Pool, u int, candidates []int, out []float64, errs []error) error {
-	walksU := e.sourceWalks(p, u)
-	p.For(len(candidates), func(i int) {
-		out[i] = Combine(e.candidateMeeting(walksU, candidates[i]), e.opt.C, e.opt.Steps)
-	})
-	return nil
-}
-
-// twoPhaseKernel: u's exact prefix rows and u's walk grids, each once
-// (sampleSide); per candidate one prefix dot and one walk replay on its
-// own pooled scratch (candidateGrid). Identical arithmetic to
-// TwoPhase(u, v).
+// twoPhaseKernel is the single-source kernel of Eq. 15, twoPhaseWith's
+// arithmetic per candidate: u's exact rows to st's depth l and, when
+// the tail is sampled, u's walk grids (sampleSide), each once; per
+// candidate one prefix dot and one walk replay (candidateGrid) against
+// them. At l = −1 it reads no exact row. The serial candidate loop
+// hands no closure to the pool, so with a plan (Sampling-v2) and a
+// warmed engine the kernel is allocation-free at Parallelism 1.
 //
-// Each side — u's u-side stream and every candidate's v-side stream —
-// goes through the engine's walk memo (walkmemo.go) when the query's
+// Each side drawn without a plan — u's u-side stream and every
+// candidate's v-side stream, which Sampling and SR-TS share — goes
+// through the engine's walk memo (walkmemo.go) when the query's
 // 1 + len(candidates) sides fit it: a side requested before keeps its
 // grids, and on a later query, on this generation or one derived by up
 // to memoGenerations update batches, every chunk none of whose walks
@@ -184,55 +120,91 @@ func (e *Engine) samplingKernel(p *parallel.Pool, u int, candidates []int, out [
 // not fit draws every chunk into pooled scratch, through the same
 // per-chunk loop. Either way the answer is bit-identical to a fresh
 // engine's.
-func (e *Engine) twoPhaseKernel(p *parallel.Pool, u int, candidates []int, out []float64, errs []error) error {
-	n := e.opt.Steps
-	l := e.splitDepth()
-	ru, err := e.exactRows(u, l)
-	if err != nil {
-		return err
+func (e *Engine) twoPhaseKernel(p *parallel.Pool, st *strategy, u int, candidates []int, out []float64, errs []error) error {
+	n, l := e.opt.Steps, st.depth(e)
+	var ru []matrix.Vec
+	if l >= 0 {
+		var err error
+		if ru, err = e.exactRows(u, l); err != nil {
+			return err
+		}
 	}
-	memo := e.memoFor(len(candidates))
 	var s *v2scratch
+	var memo *walkMemo
 	if l < n {
+		plan := st.tailPlan(e)
+		if plan == nil {
+			memo = e.memoFor(len(candidates))
+		}
 		s = e.v2pool.Get()
 		defer e.release(s)
 		k := sideKey{u, saltWalkU}
-		e.sampleSide(p, s, memo.plan(e, k), u, saltWalkU)
+		sd := memo.plan(e, k)
+		sd.plan = plan
+		e.sampleSide(p, s, sd, u, saltWalkU)
 		memo.store(e, p, k, s.side, s.gridU)
+	}
+	if p.Workers() <= 1 {
+		for i := 0; i < len(candidates) && p.Err() == nil; i++ {
+			if score, err := e.sourceCandidate(p, memo, ru, l, s, s, candidates[i]); err != nil {
+				errs[i] = err
+			} else {
+				out[i] = score
+			}
+		}
+		return nil
 	}
 	// On a cancelled pool view the source grids may be incomplete, but
 	// then the candidate fan-out below runs no tasks either; callers of
 	// the Ctx query shapes discard the partial output.
 	p.For(len(candidates), func(i int) {
-		rv, err := e.exactRows(candidates[i], l)
-		if err != nil {
+		var w *v2scratch
+		if l < n {
+			w = e.v2pool.Get()
+			defer e.release(w)
+		}
+		if score, err := e.sourceCandidate(p, memo, ru, l, s, w, candidates[i]); err != nil {
 			errs[i] = err
-			return
+		} else {
+			out[i] = score
 		}
-		exact := make([]float64, l+1)
-		for k := 0; k <= l; k++ {
-			exact[k] = ru[k].Dot(rv[k])
-		}
-		if l >= n {
-			out[i] = Combine(exact, e.opt.C, n)
-			return
-		}
-		w := e.v2pool.Get()
-		defer e.release(w)
-		k := sideKey{candidates[i], saltWalkV}
-		sd := memo.plan(e, k)
-		out[i] = CombineTwoPhase(exact, e.candidateGrid(s, w, &sd, candidates[i]), e.opt.C, e.opt.L, n)
-		memo.store(e, p, k, sd, w.gridV)
 	})
 	return nil
+}
+
+// sourceCandidate is one candidate v of twoPhaseKernel: the exact
+// prefix m(k)(u,v) for k ≤ l from u's rows ru and v's, and, when l <
+// Steps, v's v-side walks drawn as u's side in s was (through memo when
+// they have no plan) with w's scratch and counted against s's grids.
+func (e *Engine) sourceCandidate(p *parallel.Pool, memo *walkMemo, ru []matrix.Vec, l int, s, w *v2scratch, v int) (float64, error) {
+	var exact []float64
+	if l >= 0 {
+		rv, err := e.exactRows(v, l)
+		if err != nil {
+			return 0, err
+		}
+		exact = make([]float64, l+1)
+		for k := range exact {
+			exact[k] = ru[k].Dot(rv[k])
+		}
+	}
+	n := e.opt.Steps
+	if l >= n {
+		return Combine(exact, e.opt.C, n), nil
+	}
+	k := sideKey{v, saltWalkV}
+	sd := memo.plan(e, k)
+	sd.plan = s.side.plan
+	m := e.candidateGrid(s, w, &sd, v)
+	memo.store(e, p, k, sd, w.gridV)
+	return CombineTwoPhase(exact, m, e.opt.C, l, n), nil
 }
 
 // srspKernel: u's exact prefix rows and u's counting-table propagation,
 // each once; per candidate one prefix dot and one propagation into a
 // pooled scratch. Identical arithmetic to SRSP(u, v).
-func (e *Engine) srspKernel(p *parallel.Pool, u int, candidates []int, out []float64, errs []error) error {
-	n := e.opt.Steps
-	l := e.splitDepth()
+func (e *Engine) srspKernel(p *parallel.Pool, st *strategy, u int, candidates []int, out []float64, errs []error) error {
+	n, l := e.opt.Steps, st.depth(e)
 	ru, err := e.exactRows(u, l)
 	if err != nil {
 		return err

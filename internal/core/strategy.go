@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strings"
 
+	"usimrank/internal/mc"
 	"usimrank/internal/parallel"
 )
 
@@ -35,27 +36,31 @@ const (
 // call, and the v2 path must stay allocation-free. A nil kernel means
 // no generic entry point serves the strategy.
 type strategy struct {
-	name      string            // String(): metric labels, JSON "alg", flight keys
-	spellings []string          // lower-case ParseAlgorithm names; the first is the CLI's
-	depth     func(*Engine) int // exact-prefix depth: the deepest step computed exactly
-	walks     bool              // the sampled tail is drawn as random walks
-	filters   bool              // the sampled tail propagates SR-SP filter bit-vectors
-	index     bool              // probes a SourceIndex, which only some entry points take
-	pair      func(*Engine, *parallel.Pool, int, int) (float64, error)
-	source    func(*Engine, *parallel.Pool, int, []int, []float64, []error) error
+	name      string                 // String(): metric labels, JSON "alg", flight keys
+	spellings []string               // lower-case ParseAlgorithm names; the first is the CLI's
+	depth     func(*Engine) int      // exact-prefix depth: the deepest step computed exactly
+	walks     bool                   // the sampled tail is drawn as random walks
+	plan      func(*Engine) *mc.Plan // the walks' sampler: Plan.Sample; nil: mc.SampleGrid
+	filters   bool                   // the sampled tail propagates SR-SP filter bit-vectors
+	index     bool                   // probes a SourceIndex, which only some entry points take
+	pair      func(*Engine, *parallel.Pool, *strategy, int, int) (float64, error)
+	source    func(*Engine, *parallel.Pool, *strategy, int, []int, []float64, []error) error
 }
 
 // strategies declares each algorithm's facts once, in canonical order.
 // The paper's strategies differ in how deep the exact prefix goes and
 // how the sampled tail is drawn (Sec. VI); every dispatch on Algorithm
-// reads its row.
+// reads its row. Baseline, Sampling, SR-TS and Sampling-v2 are one
+// formula, Eq. 15, at different depths and samplers, and run the same
+// two kernels (twoPhaseWith, twoPhaseKernel); SR-SP's tail propagates
+// filters instead.
 var strategies = [...]strategy{
 	AlgBaseline: {name: "Baseline", spellings: []string{"baseline"},
 		depth: (*Engine).allSteps,
-		pair:  (*Engine).baselineWith, source: (*Engine).baselineKernel},
+		pair:  (*Engine).twoPhaseWith, source: (*Engine).twoPhaseKernel},
 	AlgSampling: {name: "Sampling", spellings: []string{"sampling"},
 		depth: (*Engine).noSteps, walks: true,
-		pair: (*Engine).samplingWith, source: (*Engine).samplingKernel},
+		pair: (*Engine).twoPhaseWith, source: (*Engine).twoPhaseKernel},
 	AlgTwoPhase: {name: "SR-TS", spellings: []string{"twophase", "two-phase", "srts", "sr-ts"},
 		depth: (*Engine).splitDepth, walks: true,
 		pair: (*Engine).twoPhaseWith, source: (*Engine).twoPhaseKernel},
@@ -63,8 +68,8 @@ var strategies = [...]strategy{
 		depth: (*Engine).splitDepth, filters: true,
 		pair: (*Engine).srspWith, source: (*Engine).srspKernel},
 	AlgSamplingV2: {name: "Sampling-v2", spellings: []string{"sampling_v2", "sampling-v2", "samplingv2"},
-		depth: (*Engine).noSteps, walks: true,
-		pair: (*Engine).samplingV2With, source: (*Engine).samplingV2Kernel},
+		depth: (*Engine).noSteps, walks: true, plan: (*Engine).v2Plan,
+		pair: (*Engine).twoPhaseWith, source: (*Engine).twoPhaseKernel},
 	AlgIndexed: {name: "indexed", spellings: []string{"indexed"},
 		depth: (*Engine).noSteps, walks: true, index: true},
 }
@@ -74,6 +79,15 @@ var strategies = [...]strategy{
 func (e *Engine) allSteps() int   { return e.opt.Steps }
 func (e *Engine) splitDepth() int { return min(e.opt.L, e.opt.Steps) }
 func (e *Engine) noSteps() int    { return -1 }
+
+// tailPlan returns the sampler st's walks are drawn with: the engine's
+// v2 Plan, or nil for mc.SampleGrid.
+func (st *strategy) tailPlan(e *Engine) *mc.Plan {
+	if st.plan == nil {
+		return nil
+	}
+	return st.plan(e)
+}
 
 // unknown is the row of a value outside the table: no name, no
 // kernels, nothing exact and nothing sampled.

@@ -113,11 +113,11 @@ func (e *Engine) Generation() uint64 { return e.gen }
 //     the block table, and re-sampled only when an SR-SP propagation
 //     first reaches them (or by WarmFilters), so an update re-samples
 //     no filter;
-//   - the walk memo of SR-TS's source kernel carries over with the
-//     batch's staged heads, the rows it may have changed. The update
-//     checks no walk: the successor's next source query reuses each
-//     kept chunk none of whose walks left such a row, and re-draws the
-//     others (walkmemo.go).
+//   - the walk memo of the Sampling and SR-TS source kernel carries
+//     over with the batch's staged heads, the rows it may have changed.
+//     The update checks no walk: the successor's next source query
+//     reuses each kept chunk none of whose walks left such a row, and
+//     re-draws the others (walkmemo.go).
 //
 // Every query on the derived engine is bit-identical to the same query
 // on a freshly built engine over the mutated graph with the same

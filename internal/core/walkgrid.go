@@ -7,23 +7,23 @@ import (
 
 // The engine's walk driver: the Sampling algorithm's walk streams
 // (Fig. 4) drawn on position grids (pos[k*W+i], -1 once dead) in pooled
-// v2scratch buffers, allocation-free once warm. Every grid-drawn kernel
-// fills its chunks through drawChunk, the one place that picks the
+// v2scratch buffers, allocation-free once warm. Every walk the engine
+// draws fills its chunk through drawChunk, the one place that picks the
 // sampler, as the side's sideDraw says:
 //
 //   - no plan: mc.SampleGrid, exactly mc.Sample's walks — the same RNG
-//     calls in the same order. The occupancy fold (indexed.go: index
-//     build, index patch and the indexed residual) and SR-TS's sampled
-//     tail (twoPhaseWith, twoPhaseKernel) draw these, and stay
-//     bit-identical to the map path: the tail counts meetings with
-//     mc.CountMeets — MeetingCounts' semantics — and merges the
-//     per-chunk integer counts in chunk order, as meetingSampledWith
-//     does.
+//     calls in the same order. Sampling and SR-TS's sampled tail (the
+//     Eq. 15 kernels twoPhaseWith and twoPhaseKernel) and the occupancy
+//     fold (indexed.go: index build, index patch and the indexed
+//     residual) draw these, and stay bit-identical to the map path:
+//     the tail counts meetings with mc.CountMeets — MeetingCounts'
+//     semantics — and merges the per-chunk integer counts in chunk
+//     order.
 //   - a *mc.Plan: the v2 Plan.Sample, Sampling-v2's lockstep walks,
-//     pinned by their own goldens. SamplingV2's pair and source kernels
-//     (samplingv2.go) and the adaptive rounds (adaptive.go) draw these,
-//     and their arc instantiations and arena high-water are tallied for
-//     the kernel counters too (see release).
+//     pinned by their own goldens. Sampling-v2's kernels (the same Eq.
+//     15 kernels) and the adaptive rounds (adaptive.go) draw these, and
+//     their arc instantiations and arena high-water are tallied for the
+//     kernel counters too (see release).
 //
 // The rest is shared: a side's chunk set and grid layout (layoutSide),
 // the chunk fan-out (drawSide), the meeting count of a v-side chunk
@@ -32,22 +32,19 @@ import (
 // same layout whichever kernel asks, and a v-side chunk is drawn with
 // its source's sampler.
 //
-// drawChunk also serves the walk memo (walkmemo.go): twoPhaseKernel's
-// sides may reuse a chunk kept on an earlier query, even on an earlier
+// drawChunk also serves the walk memo (walkmemo.go): the source
+// kernel's sides without a plan, which Sampling and SR-TS share, may
+// reuse a chunk kept on an earlier query, even on an earlier
 // generation, when none of its walks left a row that changed since.
-// The memo serves SR-TS only; every other side is drawn into scratch.
-//
-// AlgSampling stays on mc.Sample: its map path is the v1 leg of the
-// bench gate's 2× v2-over-v1 bound, and MeetingSampled is the reference
-// the grid tail is pinned against.
+// Every other side is drawn into scratch.
 
 // layoutSide prepares s for one vertex-side's stream cut to its first
-// walks walks, drawn as sd says: its chunk set in s.cu, seeded in chunk
-// order exactly as walkChunks seeds it, one grid block per chunk in
-// s.posU, s.gridU cleared — no chunk drawn yet — and s.side = sd. The
-// chunk set is prefix-stable: a layout for more walks, in whole chunks,
-// starts with the same chunks, so the adaptive rounds draw only the new
-// ones.
+// walks walks, drawn as sd says: its chunk set in s.cu, each chunk
+// seeded in chunk order from the side's stream (sideSeed), one grid
+// block per chunk in s.posU, s.gridU cleared — no chunk drawn yet — and
+// s.side = sd. The chunk set is prefix-stable: a layout for more walks,
+// in whole chunks, starts with the same chunks, so the adaptive rounds
+// draw only the new ones.
 func (e *Engine) layoutSide(s *v2scratch, sd sideDraw, v int, salt uint64, walks int) {
 	s.r.Reseed(e.sideSeed(v, salt))
 	s.cu = parallel.AppendChunks(s.cu[:0], walks, parallel.DefaultChunkSize, &s.r)
@@ -141,7 +138,7 @@ func (e *Engine) meetChunk(s, w *v2scratch, sd *sideDraw, v, ci int, c parallel.
 }
 
 // meetingGridWith is the sampled m̂(k) estimate of one pair on grids,
-// both sides drawn with plan (nil: mc.SampleGrid, meetingSampledWith's
+// both sides drawn with plan (nil: mc.SampleGrid, the map path's
 // estimate bit for bit): chunk ci draws u's ci-th chunk into its block
 // of s.posU (sideChunk) and v's ci-th chunk into scratch, and counts
 // their meetings into its own slot of s.counts. The chunks fan out over
@@ -175,11 +172,11 @@ func (e *Engine) pairGridChunk(s, w *v2scratch, u, v, ci int) {
 	e.meetChunk(s, w, &s.side, v, ci, s.cv[ci], s.counts[ci*stride:(ci+1)*stride])
 }
 
-// candidateGrid is candidateMeeting on grids: v's v-side chunks are
-// drawn as sd says, one after another with w's scratch, and counted
-// against the source grids s holds. With SR-TS's sampler the estimate
-// is bit-identical to MeetingSampled(u, v), with a plan to SamplingV2's
-// pair estimate. It is returned in w.m, and the chunks' grids in
+// candidateGrid is one candidate's sampled m̂(k) estimate against a
+// source drawn once: v's v-side chunks are drawn as sd says, one after
+// another with w's scratch, and counted against the source grids s
+// holds. The estimate is bit-identical to meetingGridWith's for the
+// pair (u, v) with the same sampler. It is returned in w.m, and the chunks' grids in
 // w.gridV, both valid while the caller holds w.
 func (e *Engine) candidateGrid(s, w *v2scratch, sd *sideDraw, v int) []float64 {
 	w.r.Reseed(e.sideSeed(v, saltWalkV))

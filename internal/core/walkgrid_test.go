@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"usimrank/internal/gen"
+	"usimrank/internal/mc"
+	"usimrank/internal/parallel"
 	"usimrank/internal/rng"
 	"usimrank/internal/ugraph"
 )
@@ -66,11 +68,51 @@ func requireRowShapes(t *testing.T, rev *ugraph.Graph) {
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
-// TestTwoPhaseGridTailMatchesMapPath pins SR-TS's grid tail to the map
-// path bit for bit. For every pair, meetingGridWith must return
-// MeetingSampled(u, v) — mc.Sample's walks, counted by MeetingCounts —
-// and TwoPhase, SingleSourceAgainst and Batch over AlgTwoPhase must
-// equal CombineTwoPhase of the exact prefix and that map tail. N covers
+// walkChunks splits the N walk samples of one vertex-side into
+// fixed-size chunks, each seeded from the side's stream in chunk order
+// — the chunk set layoutSide lays out, for the map-based references.
+func (e *Engine) walkChunks(v int, salt uint64) []parallel.Chunk {
+	return parallel.SplitChunks(e.opt.N, parallel.DefaultChunkSize, rng.New(e.sideSeed(v, salt)))
+}
+
+// meetingSampledMap is the map-based Sampling tail the grid kernels are
+// pinned to, MeetingSampled as it was before the engine drew every walk
+// on grids: per chunk, mc.Sample's walks of both sides (one LazyWorld
+// map per walk), counted by mc.MeetingCounts, the integer counts merged
+// in chunk order.
+func (e *Engine) meetingSampledMap(u, v int) ([]float64, error) {
+	if err := e.checkVertex(u); err != nil {
+		return nil, err
+	}
+	if err := e.checkVertex(v); err != nil {
+		return nil, err
+	}
+	cu := e.walkChunks(u, saltWalkU)
+	cv := e.walkChunks(v, saltWalkV)
+	counts := make([][]int, len(cu))
+	e.pool.For(len(cu), func(ci int) {
+		wu := mc.Sample(e.rev, u, e.opt.Steps, cu[ci].Len(), rng.New(cu[ci].Seed))
+		wv := mc.Sample(e.rev, v, e.opt.Steps, cv[ci].Len(), rng.New(cv[ci].Seed))
+		counts[ci] = mc.MeetingCounts(wu, wv)
+	})
+	m := make([]float64, e.opt.Steps+1)
+	for _, c := range counts {
+		for k, x := range c {
+			m[k] += float64(x)
+		}
+	}
+	for k := range m {
+		m[k] /= float64(e.opt.N)
+	}
+	return m, nil
+}
+
+// TestTwoPhaseGridTailMatchesMapPath pins the grid-drawn Sampling tail
+// to the map path bit for bit. For every pair, meetingGridWith must
+// return meetingSampledMap(u, v) — mc.Sample's walks, counted by
+// MeetingCounts — and Compute, SingleSourceAgainst and Batch must equal
+// CombineTwoPhase of the exact prefix and that map tail over
+// AlgTwoPhase, and Combine of the map tail over AlgSampling. N covers
 // one walk, chunk boundaries (127, 128, 129) and the default; Steps
 // and the split l vary the tail's length, including an empty tail
 // (l = Steps). Options.L = 0 selects the default split, so l = 0 is set
@@ -91,7 +133,7 @@ func TestTwoPhaseGridTailMatchesMapPath(t *testing.T) {
 				requireRowShapes(t, ref.rev)
 				tails := make([][]float64, len(pairs))
 				for i, p := range pairs {
-					m, err := ref.MeetingSampled(p[0], p[1])
+					m, err := ref.meetingSampledMap(p[0], p[1])
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -113,52 +155,68 @@ func TestTwoPhaseGridTailMatchesMapPath(t *testing.T) {
 	}
 }
 
-// checkGridTail compares every twophase query shape on e against the
-// map tails (tails[i] = MeetingSampled of pairs[i]).
+// checkGridTail compares every twophase and sampling query shape on e
+// against the map tails (tails[i] = meetingSampledMap of pairs[i]).
+// Sampling's source queries run twice after SR-TS's: the two share
+// their walk streams, so the memo serves Sampling's sides too.
 func checkGridTail(t *testing.T, where string, e *Engine, pairs [][2]int, tails [][]float64) {
 	t.Helper()
-	want := make([]float64, len(pairs))
+	wantTP := make([]float64, len(pairs))
+	wantS := make([]float64, len(pairs))
 	for i, p := range pairs {
 		exact, err := e.MeetingExact(p[0], p[1], e.splitDepth())
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i] = CombineTwoPhase(exact, tails[i], e.opt.C, e.opt.L, e.opt.Steps)
+		wantTP[i] = CombineTwoPhase(exact, tails[i], e.opt.C, e.opt.L, e.opt.Steps)
+		wantS[i] = Combine(tails[i], e.opt.C, e.opt.Steps)
 
 		s := e.v2pool.Get()
 		got := e.meetingGridWith(e.pool, s, nil, p[0], p[1])
 		for k := range tails[i] {
 			if !sameBits(got[k], tails[i][k]) {
-				t.Fatalf("%s (%d,%d): grid tail m̂(%d) = %v, MeetingSampled has %v", where, p[0], p[1], k, got[k], tails[i][k])
+				t.Fatalf("%s (%d,%d): grid tail m̂(%d) = %v, the map path has %v", where, p[0], p[1], k, got[k], tails[i][k])
 			}
 		}
 		e.v2pool.Put(s)
-
-		tp, err := e.TwoPhase(p[0], p[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameBits(tp, want[i]) {
-			t.Fatalf("%s (%d,%d): TwoPhase = %v, map-tail combination %v", where, p[0], p[1], tp, want[i])
-		}
 	}
 	n := e.Graph().NumVertices()
 	all := e.allCandidates()
-	for u := 0; u < n; u++ {
-		got, err := e.SingleSourceAgainst(AlgTwoPhase, u, all)
-		if err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		alg        Algorithm
+		want       []float64
+		sourceRuns int
+	}{{AlgTwoPhase, wantTP, 1}, {AlgSampling, wantS, 2}} {
+		for i, p := range pairs {
+			got, err := e.Compute(c.alg, p[0], p[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameBits(got, c.want[i]) {
+				t.Fatalf("%s (%d,%d): %v = %v, map-tail combination %v", where, p[0], p[1], c.alg, got, c.want[i])
+			}
 		}
-		for v, s := range got {
-			if w := want[u*n+v]; !sameBits(s, w) {
-				t.Fatalf("%s: SingleSourceAgainst s(%d,%d) = %v, map-tail combination %v", where, u, v, s, w)
+		for run := 0; run < c.sourceRuns; run++ {
+			for u := 0; u < n; u++ {
+				got, err := e.SingleSourceAgainst(c.alg, u, all)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for v, s := range got {
+					if w := c.want[u*n+v]; !sameBits(s, w) {
+						t.Fatalf("%s: %v SingleSourceAgainst run %d s(%d,%d) = %v, map-tail combination %v", where, c.alg, run, u, v, s, w)
+					}
+				}
+			}
+		}
+		for i, r := range Batch(e, c.alg, pairs, 0) {
+			if r.Err != nil || !sameBits(r.Value, c.want[i]) {
+				t.Fatalf("%s: %v Batch s(%d,%d) = %v, %v; map-tail combination %v", where, c.alg, r.U, r.V, r.Value, r.Err, c.want[i])
 			}
 		}
 	}
-	for i, r := range Batch(e, AlgTwoPhase, pairs, 0) {
-		if r.Err != nil || !sameBits(r.Value, want[i]) {
-			t.Fatalf("%s: Batch s(%d,%d) = %v, %v; map-tail combination %v", where, r.U, r.V, r.Value, r.Err, want[i])
-		}
+	if e.KernelStats().WalksReused == 0 {
+		t.Fatalf("%s: the walk memo served no side", where)
 	}
 }
 
@@ -194,7 +252,7 @@ func TestTwoPhaseGridTailCancelled(t *testing.T) {
 		}
 		e.v2pool.Put(s)
 		out := []float64{-1, -1}
-		if err := e.twoPhaseKernel(p, 1, []int{2, 3}, out, make([]error, 2)); err != nil {
+		if err := e.twoPhaseKernel(p, AlgTwoPhase.row(), 1, []int{2, 3}, out, make([]error, 2)); err != nil {
 			t.Fatal(err)
 		}
 		if out[0] != -1 || out[1] != -1 {

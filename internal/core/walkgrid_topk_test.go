@@ -12,7 +12,7 @@ import (
 // TestTwoPhaseTopKMatchesMapTail extends the grid-tail pin to top-k:
 // topk.SingleSource over AlgTwoPhase, the query usimrank.TopKSimilar
 // serves, must rank exactly the scores CombineTwoPhase gives on the map
-// tail MeetingSampled. It lives outside package core because topk
+// tail MeetingSampledMap. It lives outside package core because topk
 // imports core.
 func TestTwoPhaseTopKMatchesMapTail(t *testing.T) {
 	g := core.GridPinGraph(10, 8)
@@ -34,7 +34,7 @@ func TestTwoPhaseTopKMatchesMapTail(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					tail, err := e.MeetingSampled(u, v)
+					tail, err := core.MeetingSampledMap(e, u, v)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -9,10 +9,12 @@ import (
 	"usimrank/internal/parallel"
 )
 
-// The walk memo lets SR-TS's single-source kernel (twoPhaseKernel) keep
-// the position grids of the vertex-sides it is asked for repeatedly,
-// and lets an ApplyUpdates successor reuse them, so a subscription's
-// push re-draws only the walk chunks an update reached.
+// The walk memo lets the Eq. 15 single-source kernel (twoPhaseKernel)
+// keep the position grids of the vertex-sides it is asked for
+// repeatedly, and lets an ApplyUpdates successor reuse them, so a
+// subscription's push re-draws only the walk chunks an update reached.
+// It serves every side drawn without a plan: Sampling's and SR-TS's
+// sides are the same streams, so a side one keeps the other reuses.
 //
 // Why a kept chunk can be reused. In the Sampling algorithm (Fig. 4) a
 // walk's step k+1 is drawn from the reversed out-row of its step-k
@@ -131,8 +133,9 @@ func (m *walkMemo) changedAgo(vertices int) []uint8 {
 // (see drawChunk) and what the memo may reuse or keep. The zero value
 // draws every chunk with mc.SampleGrid into the caller's scratch and
 // keeps nothing. Memo keys do not name the sampler, so only
-// walkMemo.plan sets prev or keep, for SR-TS's sides, which have no
-// plan: a side drawn with a plan never keeps or reuses a grid.
+// walkMemo.plan sets prev or keep, and only for sides without a plan
+// (twoPhaseKernel asks the memo for no other): a side drawn with a plan
+// never keeps or reuses a grid.
 type sideDraw struct {
 	plan *mc.Plan   // draw with plan.Sample; nil: mc.SampleGrid
 	prev *sideGrids // kept grids whose chunks may be reused

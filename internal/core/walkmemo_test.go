@@ -16,21 +16,27 @@ type memoQuery struct {
 	cands []int
 }
 
-// checkFresh runs q on e and fails t unless every score has the bits a
-// fresh engine over e's graph gives.
+// checkFresh runs q over AlgTwoPhase on e and fails t unless every
+// score has the bits a fresh engine over e's graph gives.
 func checkFresh(t *testing.T, where string, e *Engine, q memoQuery) {
 	t.Helper()
-	got, err := e.SingleSourceAgainst(AlgTwoPhase, q.u, q.cands)
+	checkFreshAlg(t, where, e, AlgTwoPhase, q)
+}
+
+// checkFreshAlg is checkFresh over alg.
+func checkFreshAlg(t *testing.T, where string, e *Engine, alg Algorithm, q memoQuery) {
+	t.Helper()
+	got, err := e.SingleSourceAgainst(alg, q.u, q.cands)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := newEngine(t, e.Graph(), e.Options()).SingleSourceAgainst(AlgTwoPhase, q.u, q.cands)
+	want, err := newEngine(t, e.Graph(), e.Options()).SingleSourceAgainst(alg, q.u, q.cands)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range want {
 		if !sameBits(got[i], want[i]) {
-			t.Fatalf("%s: s(%d,%d) = %v, a fresh engine gives %v", where, q.u, q.cands[i], got[i], want[i])
+			t.Fatalf("%s: %v s(%d,%d) = %v, a fresh engine gives %v", where, alg, q.u, q.cands[i], got[i], want[i])
 		}
 	}
 }
@@ -92,11 +98,11 @@ func apply(t *testing.T, e *Engine, ups []ugraph.ArcUpdate) *Engine {
 	return succ
 }
 
-// FuzzTwoPhaseMemo drives SR-TS source queries through the walk memo
-// over a random small uncertain graph with dead ends, self-loops and
-// p = 1 arcs (gridPinGraph), across insert, delete and reweight batches,
-// some of which net out. Every answer must have the bits of a fresh
-// engine on the same graph.
+// FuzzTwoPhaseMemo drives SR-TS and Sampling source queries through
+// the walk memo over a random small uncertain graph with dead ends,
+// self-loops and p = 1 arcs (gridPinGraph), across insert, delete and
+// reweight batches, some of which net out. Every answer must have the
+// bits of a fresh engine on the same graph.
 //
 // data[0..3] pick the graph size and seed, N, Steps, the engine seed
 // and Parallelism; the two queries share candidate sides. Each further
@@ -105,7 +111,9 @@ func apply(t *testing.T, e *Engine, ups []ugraph.ArcUpdate) *Engine {
 // repeat); 2, apply a batch, so consecutive 2s make gaps of more
 // generations than the memo remembers; 3, derive two successors from
 // the current engine with different batches, query each twice, and go
-// on with the first.
+// on with the first. Bit 3 of b picks the queries' strategy, SR-TS (0)
+// or Sampling (1): the two draw the same side streams, so a side one
+// strategy's query kept is reused by the other's.
 func FuzzTwoPhaseMemo(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 || len(data) > 64 {
@@ -129,16 +137,17 @@ func FuzzTwoPhaseMemo(f *testing.F) {
 		for i, b := range data[4:] {
 			r := rng.New(uint64(i)<<8 | uint64(b))
 			where := fmt.Sprintf("step %d (byte %#x) at generation %d", i, b, e.Generation())
+			alg := []Algorithm{AlgTwoPhase, AlgSampling}[b>>3&1]
 			switch b % 4 {
 			case 0, 1:
-				checkFresh(t, where, e, queries[b>>2&1])
+				checkFreshAlg(t, where, e, alg, queries[b>>2&1])
 			case 2:
 				e = apply(t, e, memoBatch(r, e.Graph()))
 			case 3:
 				a, c := apply(t, e, memoBatch(r, e.Graph())), apply(t, e, memoBatch(r, e.Graph()))
 				for round := 0; round < 2; round++ {
-					checkFresh(t, where+" first successor", a, queries[b>>2&1])
-					checkFresh(t, where+" second successor", c, queries[b>>2&1])
+					checkFreshAlg(t, where+" first successor", a, alg, queries[b>>2&1])
+					checkFreshAlg(t, where+" second successor", c, alg, queries[b>>2&1])
 				}
 				e = a
 			}
@@ -261,7 +270,7 @@ func TestWalkMemoCancelledQueryKeepsNothing(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		out := make([]float64, len(q.cands))
-		if err := e.twoPhaseKernel(e.pool.WithContext(ctx), q.u, q.cands, out, make([]error, len(q.cands))); err != nil {
+		if err := e.twoPhaseKernel(e.pool.WithContext(ctx), AlgTwoPhase.row(), q.u, q.cands, out, make([]error, len(q.cands))); err != nil {
 			t.Fatal(err)
 		}
 		if n := e.memo.kept.Len(); n != 0 {

@@ -6,6 +6,7 @@ import (
 
 	"usimrank/internal/core"
 	"usimrank/internal/gen"
+	"usimrank/internal/mc"
 	"usimrank/internal/rng"
 	"usimrank/internal/speedup"
 	"usimrank/internal/transpr"
@@ -125,24 +126,19 @@ func AblationChoicePolicy(cfg Config) (*AblationResult, error) {
 }
 
 // sampleOccupancy estimates the step-k occupancy distribution with the
-// Fig. 4 sampler.
-func sampleOccupancy(g *ugraph.Graph, src, n, N int, r *rng.RNG) []map[int32]float64 {
-	occ := make([]map[int32]float64, n+1)
+// Fig. 4 sampler: N walks drawn by mc.SampleGrid (mc.Sample's walks,
+// each in its own lazy world), each visit adding 1/N to its (k, v) cell.
+func sampleOccupancy(g *ugraph.Graph, src, n, N int, r *rng.RNG) [][]float64 {
+	pos := make([]int32, (n+1)*N)
+	var a mc.Arena
+	mc.SampleGrid(g, src, n, N, r, &a, pos)
+	occ := make([][]float64, n+1)
 	for k := range occ {
-		occ[k] = make(map[int32]float64)
-	}
-	world := ugraph.NewLazyWorld(g, r)
-	for i := 0; i < N; i++ {
-		world.Reset()
-		cur := int32(src)
-		occ[0][cur] += 1.0 / float64(N)
-		for k := 1; k <= n; k++ {
-			nbrs := world.Out(cur)
-			if len(nbrs) == 0 {
-				break
+		occ[k] = make([]float64, g.NumVertices())
+		for _, at := range pos[k*N : (k+1)*N] {
+			if at >= 0 {
+				occ[k][at] += 1.0 / float64(N)
 			}
-			cur = nbrs[r.Intn(len(nbrs))]
-			occ[k][cur] += 1.0 / float64(N)
 		}
 	}
 	return occ

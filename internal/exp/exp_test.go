@@ -279,6 +279,17 @@ func TestAblations(t *testing.T) {
 		t.Logf("fixed-choice bias %.5f vs re-rolled %.5f",
 			cp.Values["mad_fixed_choice"], cp.Values["mad_rerolled"])
 	}
+	// Both deviations keep the bits they had when the re-rolled walks
+	// ran on ugraph.LazyWorld maps: mc.SampleGrid draws the same walks,
+	// and each occupancy cell adds the same 1/N as often.
+	for name, bits := range map[string]uint64{
+		"mad_rerolled":     0x3f64e0d2260fe247,
+		"mad_fixed_choice": 0x3fc217e0ae8e90f0,
+	} {
+		if got := math.Float64bits(cp.Values[name]); got != bits {
+			t.Fatalf("%s = %v (%#x), want the pinned %v (%#x)", name, cp.Values[name], got, math.Float64frombits(bits), bits)
+		}
+	}
 
 	sm, err := AblationStateMerge(cfg)
 	if err != nil {

@@ -24,10 +24,11 @@ import (
 // SampleGrid allocation-free.
 //
 // The engine's walk driver (core's walkgrid.go) draws with it every
-// grid whose side has no Plan: the occupancy rows of the index plane
-// (build, patch and the indexed residual sample) and SR-TS's sampled
-// tail, which counts meetings on the grids with CountMeets. The
-// Sampling algorithm still calls Sample, its reference.
+// grid whose side has no Plan: Sampling and SR-TS's sampled tail, which
+// count meetings on the grids with CountMeets, and the occupancy rows
+// of the index plane (build, patch and the indexed residual sample).
+// Sample stays as the reference it is pinned to; no engine code calls
+// it.
 func SampleGrid(g *ugraph.Graph, src, steps, W int, r *rng.RNG, a *Arena, pos []int32) {
 	if len(a.logV) < steps {
 		a.logV = make([]int32, steps)

@@ -32,6 +32,11 @@ type Walks struct {
 
 // Sample draws N walks of length n from src per Fig. 4. Each walk gets an
 // independent lazy world. The caller owns r.
+//
+// Sample is the reference sampler: SampleGrid draws exactly its walks
+// without its allocations, and the engine draws with SampleGrid only;
+// tests pin the grid paths to Sample, MeetingCounts and
+// MeetingEstimates.
 func Sample(g *ugraph.Graph, src int, n, N int, r *rng.RNG) *Walks {
 	if src < 0 || src >= g.NumVertices() {
 		panic(fmt.Sprintf("mc: source %d out of range [0,%d)", src, g.NumVertices()))

@@ -66,7 +66,7 @@ func (s *Server) snapshot(pw *obs.PromWriter) StatsResponse {
 
 	ks := h.eng.KernelStats()
 	obs.Counter(pw, "usimrank_kernel_walks_total", "Random walks sampled across all Monte Carlo kernels.", ks.Walks)
-	obs.Counter(pw, "usimrank_kernel_walks_reused_total", "Walks SR-TS source queries reused from the walk memo instead of sampling them.", ks.WalksReused)
+	obs.Counter(pw, "usimrank_kernel_walks_reused_total", "Walks Sampling and SR-TS source queries reused from the walk memo instead of sampling them.", ks.WalksReused)
 	obs.Counter(pw, "usimrank_kernel_arcs_instantiated_total", "Possible-world arc instantiations recorded by the v2 kernel.", ks.ArcsInstantiated)
 	obs.Gauge(pw, "usimrank_kernel_arena_high_water_bytes", "Largest v2 walk-arena footprint observed.", ks.ArenaHighWaterBytes)
 	obs.Counter(pw, "usimrank_kernel_scratch_gets_total", "v2 scratch buffer pool checkouts.", ks.ScratchGets)
