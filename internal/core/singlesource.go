@@ -177,19 +177,19 @@ func (e *Engine) twoPhaseKernel(p *parallel.Pool, st *strategy, u int, candidate
 // Steps, v's v-side walks drawn as u's side in s was (through memo when
 // they have no plan) with w's scratch and counted against s's grids.
 func (e *Engine) sourceCandidate(p *parallel.Pool, memo *walkMemo, ru []matrix.Vec, l int, s, w *v2scratch, v int) (float64, error) {
-	var exact []float64
+	var rv []matrix.Vec
 	if l >= 0 {
-		rv, err := e.exactRows(v, l)
-		if err != nil {
+		var err error
+		if rv, err = e.exactRows(v, l); err != nil {
 			return 0, err
-		}
-		exact = make([]float64, l+1)
-		for k := range exact {
-			exact[k] = ru[k].Dot(rv[k])
 		}
 	}
 	n := e.opt.Steps
 	if l >= n {
+		exact := make([]float64, l+1)
+		for k := range exact {
+			exact[k] = ru[k].Dot(rv[k])
+		}
 		return Combine(exact, e.opt.C, n), nil
 	}
 	k := sideKey{v, saltWalkV}
@@ -197,7 +197,12 @@ func (e *Engine) sourceCandidate(p *parallel.Pool, memo *walkMemo, ru []matrix.V
 	sd.plan = s.side.plan
 	m := e.candidateGrid(s, w, &sd, v)
 	memo.store(e, p, k, sd, w.gridV)
-	return CombineTwoPhase(exact, m, e.opt.C, l, n), nil
+	// The exact prefix overwrites m[0..l], as in srspPair: Eq. 15 reads
+	// m[i] as exact for i ≤ l and as the sampled estimate above.
+	for i := 0; i <= l; i++ {
+		m[i] = ru[i].Dot(rv[i])
+	}
+	return CombineTwoPhase(m, m, e.opt.C, l, n), nil
 }
 
 // srspKernel: u's exact prefix rows and u's counting-table propagation,

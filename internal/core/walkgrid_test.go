@@ -324,9 +324,10 @@ func TestGridKernelsConcurrentQueries(t *testing.T) {
 
 // TestTwoPhaseGridTailAllocs pins the grid tail's allocation budget on
 // a warmed engine at Parallelism 1 with every row cached: a pair query
-// stays within a small constant, and a source query within a few
-// allocations per candidate, at any N. The map path made thousands per
-// query (one LazyWorld map and one walk slice per walk).
+// stays within a small constant, and a source query makes one
+// allocation (singleSourceChecked's error slots) at any N. The map path
+// made thousands per query (one LazyWorld map and one walk slice per
+// walk).
 func TestTwoPhaseGridTailAllocs(t *testing.T) {
 	g := gen.WithUniformProbs(gen.RMAT(9, 4096, 0.45, 0.22, 0.22, rng.New(1)), 0.2, 0.9, rng.New(2))
 	cands := make([]int, 32)
@@ -359,7 +360,7 @@ func TestTwoPhaseGridTailAllocs(t *testing.T) {
 			}
 		})
 		t.Logf("N=%d: %d-candidate twophase source makes %v allocations", N, len(cands), allocs)
-		if limit := float64(4*len(cands) + 16); allocs > limit {
+		if limit := 1.0; allocs > limit {
 			t.Errorf("N=%d: %d-candidate twophase source makes %v allocations, want <= %v", N, len(cands), allocs, limit)
 		}
 	}

@@ -1,47 +1,14 @@
-// Package stats provides the small statistical toolkit used by the
-// experiment harness and its tests: summary statistics, histograms, and
-// ordinary least squares (which the scalability analysis of Fig. 12 uses
-// to verify that execution time grows linearly with the edge count).
+// Package stats provides the small statistical toolkit of the
+// experiment harness and the adaptive sampler: ordinary least squares
+// (which the scalability analysis of Fig. 12 uses to verify that
+// execution time grows linearly with the edge count), a sample
+// quantile, and the concentration bounds of bounds.go.
 package stats
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
-
-// Summary holds the moments and extremes of a sample.
-type Summary struct {
-	N                   int
-	Mean, Std, Min, Max float64
-}
-
-// Summarize computes a Summary. The standard deviation is the population
-// form; an empty sample yields the zero Summary.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	s := Summary{N: len(xs), Min: xs[0], Max: xs[0]}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = sum / float64(len(xs))
-	varSum := 0.0
-	for _, x := range xs {
-		d := x - s.Mean
-		varSum += d * d
-	}
-	s.Std = math.Sqrt(varSum / float64(len(xs)))
-	return s
-}
 
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs by linear
 // interpolation of the sorted sample. It panics on an empty sample or a
@@ -104,39 +71,4 @@ func FitLinear(x, y []float64) Linear {
 		l.R2 = (sxy * sxy) / (sxx * syy)
 	}
 	return l
-}
-
-// Histogram counts xs into equal-width buckets over [lo, hi); values
-// outside the range are clamped into the first/last bucket. It panics on
-// a non-positive bucket count or an empty range.
-func Histogram(xs []float64, lo, hi float64, buckets int) []int {
-	if buckets <= 0 {
-		panic("stats: non-positive bucket count")
-	}
-	if !(hi > lo) {
-		panic("stats: empty histogram range")
-	}
-	counts := make([]int, buckets)
-	width := (hi - lo) / float64(buckets)
-	for _, x := range xs {
-		b := int((x - lo) / width)
-		if b < 0 {
-			b = 0
-		}
-		if b >= buckets {
-			b = buckets - 1
-		}
-		counts[b]++
-	}
-	return counts
-}
-
-// PearsonR returns the Pearson correlation of x and y.
-func PearsonR(x, y []float64) float64 {
-	l := FitLinear(x, y)
-	r := math.Sqrt(l.R2)
-	if l.Slope < 0 {
-		return -r
-	}
-	return r
 }

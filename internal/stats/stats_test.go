@@ -10,22 +10,6 @@ import (
 
 const eps = 1e-12
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if s.N != 8 || s.Mean != 5 || s.Min != 2 || s.Max != 9 {
-		t.Fatalf("summary %+v", s)
-	}
-	if math.Abs(s.Std-2) > eps { // classic textbook sample
-		t.Fatalf("std = %v", s.Std)
-	}
-}
-
-func TestSummarizeEmpty(t *testing.T) {
-	if s := Summarize(nil); s.N != 0 || s.Mean != 0 {
-		t.Fatalf("empty summary %+v", s)
-	}
-}
-
 func TestQuantile(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	cases := []struct{ q, want float64 }{
@@ -108,72 +92,6 @@ func TestFitLinearPanics(t *testing.T) {
 			}()
 			f()
 		}()
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	xs := []float64{0.05, 0.15, 0.15, 0.95, -1, 2}
-	counts := Histogram(xs, 0, 1, 10)
-	if counts[0] != 2 { // 0.05 and the clamped -1
-		t.Fatalf("bucket 0 = %d", counts[0])
-	}
-	if counts[1] != 2 {
-		t.Fatalf("bucket 1 = %d", counts[1])
-	}
-	if counts[9] != 2 { // 0.95 and the clamped 2
-		t.Fatalf("bucket 9 = %d", counts[9])
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != len(xs) {
-		t.Fatalf("histogram drops values: %d of %d", total, len(xs))
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for _, f := range []func(){
-		func() { Histogram(nil, 0, 1, 0) },
-		func() { Histogram(nil, 1, 1, 5) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("bad histogram arguments accepted")
-				}
-			}()
-			f()
-		}()
-	}
-}
-
-func TestPearsonRSigns(t *testing.T) {
-	x := []float64{1, 2, 3, 4}
-	up := []float64{2, 4, 6, 8}
-	down := []float64{8, 6, 4, 2}
-	if r := PearsonR(x, up); math.Abs(r-1) > eps {
-		t.Fatalf("r = %v", r)
-	}
-	if r := PearsonR(x, down); math.Abs(r+1) > eps {
-		t.Fatalf("r = %v", r)
-	}
-}
-
-// Property: mean lies between min and max; std is non-negative.
-func TestQuickSummaryInvariants(t *testing.T) {
-	f := func(seed uint64, nRaw uint8) bool {
-		n := int(nRaw%50) + 1
-		r := rng.New(seed)
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = r.Float64()*200 - 100
-		}
-		s := Summarize(xs)
-		return s.Mean >= s.Min-eps && s.Mean <= s.Max+eps && s.Std >= 0
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 
