@@ -50,11 +50,16 @@ var binDir string
 // client bounds every request but the subscription stream.
 var client = &http.Client{Timeout: time.Minute}
 
-// TestMain builds the binaries once for every test and run count.
+// TestMain builds the binaries once for every test and run count. It
+// builds next to the test binary: under `go test` that is the go
+// command's work directory, which the go command removes even when
+// this binary is killed, so an aborted run leaves no binaries behind.
 func TestMain(m *testing.M) {
-	dir, err := os.MkdirTemp("", "usimd-e2e-")
+	exe, err := os.Executable()
 	if err == nil {
-		binDir = dir
+		binDir, err = os.MkdirTemp(filepath.Dir(exe), "e2e-")
+	}
+	if err == nil {
 		err = build()
 	}
 	code := 1
@@ -63,7 +68,7 @@ func TestMain(m *testing.M) {
 	} else {
 		code = m.Run()
 	}
-	os.RemoveAll(dir)
+	os.RemoveAll(binDir)
 	os.Exit(code)
 }
 

@@ -1,35 +1,11 @@
 // Package stats provides the small statistical toolkit of the
 // experiment harness and the adaptive sampler: ordinary least squares
 // (which the scalability analysis of Fig. 12 uses to verify that
-// execution time grows linearly with the edge count), a sample
-// quantile, and the concentration bounds of bounds.go.
+// execution time grows linearly with the edge count) and the
+// concentration bounds of bounds.go.
 package stats
 
-import (
-	"fmt"
-	"sort"
-)
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs by linear
-// interpolation of the sorted sample. It panics on an empty sample or a
-// q outside [0, 1].
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: quantile of empty sample")
-	}
-	if q < 0 || q > 1 {
-		panic(fmt.Sprintf("stats: quantile %v outside [0,1]", q))
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	pos := q * float64(len(sorted)-1)
-	lo := int(pos)
-	if lo == len(sorted)-1 {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
-}
+import "fmt"
 
 // Linear is a fitted line y = Intercept + Slope·x with its coefficient
 // of determination.

@@ -10,41 +10,6 @@ import (
 
 const eps = 1e-12
 
-func TestQuantile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	cases := []struct{ q, want float64 }{
-		{0, 1}, {1, 5}, {0.5, 3}, {0.25, 2}, {0.1, 1.4},
-	}
-	for _, c := range cases {
-		if got := Quantile(xs, c.q); math.Abs(got-c.want) > eps {
-			t.Fatalf("Quantile(%v) = %v, want %v", c.q, got, c.want)
-		}
-	}
-}
-
-func TestQuantileUnsortedInput(t *testing.T) {
-	if got := Quantile([]float64{5, 1, 3, 2, 4}, 0.5); got != 3 {
-		t.Fatalf("median of unsorted = %v", got)
-	}
-}
-
-func TestQuantilePanics(t *testing.T) {
-	for _, f := range []func(){
-		func() { Quantile(nil, 0.5) },
-		func() { Quantile([]float64{1}, -0.1) },
-		func() { Quantile([]float64{1}, 1.1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("bad quantile arguments accepted")
-				}
-			}()
-			f()
-		}()
-	}
-}
-
 func TestFitLinearExact(t *testing.T) {
 	x := []float64{1, 2, 3, 4}
 	y := []float64{3, 5, 7, 9} // y = 1 + 2x
