@@ -41,9 +41,12 @@ check: build
 # first, so host drift between passes lands on both sides. Each binary
 # runs in its own checkout, as `go test` would run it, and the head's
 # passes carry -benchmem for the allocation bound. Then the tracing
-# benchmark runs, and cmd/benchgate prints the drift against
-# BENCH_BASELINE.json and enforces every bound on base.txt, current.txt
-# and tracing.txt. The base worktree is removed on every exit.
+# benchmark runs as five single-sample passes, each timing its bare leg
+# then its off leg (one -count 5 run would time all five bare samples
+# before any off sample, so host drift would land on one leg), and
+# cmd/benchgate prints the drift against BENCH_BASELINE.json and
+# enforces every bound on base.txt, current.txt and tracing.txt. The
+# base worktree is removed on every exit.
 bench-gate: SHELL := bash
 bench-gate: .SHELLFLAGS := -euo pipefail -c
 bench-gate:
@@ -67,8 +70,11 @@ bench-gate:
 			bench "$$tmp/base" "$$tmp/base.test" | tee -a base.txt; \
 		fi; \
 	done
-	go test -run '^$$' -bench TracingOverhead -benchmem -benchtime 500x -count 5 ./internal/server \
-		| grep -E '^Benchmark.*ns/op' | tee tracing.txt
+	: > tracing.txt; \
+	for pass in 1 2 3 4 5; do \
+		go test -run '^$$' -bench TracingOverhead -benchmem -benchtime 500x -count 1 ./internal/server \
+			| grep -E '^Benchmark.*ns/op' | tee -a tracing.txt; \
+	done
 	go run ./cmd/benchgate -base base.txt -head current.txt -tracing tracing.txt -baseline BENCH_BASELINE.json
 
 # Refresh the committed long-horizon perf baseline. The bench-gate CI

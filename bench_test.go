@@ -689,11 +689,11 @@ func benchWriteBatch(g *usimrank.Graph) []usimrank.ArcUpdate {
 // node pays it: write-push's graph family under the serving defaults,
 // SR-SP filters warmed as -warm does, and one fixed batch of 16
 // distinct-arc reweights applied to the same warm engine each
-// iteration. The filter patch invalidates the touched heads and
-// re-samples nothing, so the time is compaction, the two BFS runs, the
-// row carry-over and the page clones of the filter patch; each is
-// reported in µs/op (compact_us, evict_bfs_us, touch_bfs_us,
-// row_carry_us, filters_us), the write path's per-phase unit.
+// iteration. The filter patch invalidates the net-changed heads and
+// re-samples nothing, so the time is compaction, the one invalidation
+// BFS, the row carry-over and the page clones of the filter patch; each
+// is reported in µs/op (compact_us, touch_bfs_us, row_carry_us,
+// filters_us), the write path's per-phase unit.
 // Trajectory only, outside the bench gate.
 func BenchmarkUpdateBatchWarm(b *testing.B) {
 	g := gen.CoAuthorship(10_000, 2, rng.New(5))
@@ -703,8 +703,8 @@ func BenchmarkUpdateBatchWarm(b *testing.B) {
 	}
 	e.WarmFilters()
 	ups := benchWriteBatch(g)
-	units := []string{"compact_us", "evict_bfs_us", "touch_bfs_us", "row_carry_us", "filters_us"}
-	var sum [5]time.Duration
+	units := []string{"compact_us", "touch_bfs_us", "row_carry_us", "filters_us"}
+	var sum [4]time.Duration
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -713,7 +713,7 @@ func BenchmarkUpdateBatchWarm(b *testing.B) {
 			b.Fatal(err)
 		}
 		ph := st.Phases
-		for j, d := range []time.Duration{ph.Compact, ph.EvictBFS, ph.TouchBFS, ph.RowCarry, ph.Filters} {
+		for j, d := range []time.Duration{ph.Compact, ph.TouchBFS, ph.RowCarry, ph.Filters} {
 			sum[j] += d
 		}
 	}

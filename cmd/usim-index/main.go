@@ -24,11 +24,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"usimrank"
+	"usimrank/internal/ugraph"
 )
 
 func main() {
@@ -82,9 +81,9 @@ func main() {
 	if *l < 1 || *l > *n {
 		usage(fmt.Sprintf("-l %d outside [1,%d]", *l, *n))
 	}
-	updates, err := parseUpdates(*update)
+	updates, err := ugraph.ParseUpdateSpec(*update)
 	if err != nil {
-		usage(err.Error())
+		usage("-update " + err.Error())
 	}
 
 	g, err := usimrank.LoadGraphFile(*graphPath)
@@ -125,58 +124,6 @@ func main() {
 	fmt.Printf("wrote %s: generation %d, %d vertices x %d steps, N=%d, seed=%d (%s)\n",
 		*out, x.Generation(), x.NumVertices(), x.Depth()+1, x.Samples(), x.Seed(),
 		time.Since(start).Round(time.Millisecond))
-}
-
-// parseUpdates parses the -update spec exactly as cmd/usim does:
-// "op:u,v[,p]" triples separated by ';'.
-func parseUpdates(spec string) ([]usimrank.ArcUpdate, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	var ups []usimrank.ArcUpdate
-	for _, part := range strings.Split(spec, ";") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		opName, rest, ok := strings.Cut(part, ":")
-		if !ok {
-			return nil, fmt.Errorf("-update %q: want op:u,v[,p]", part)
-		}
-		op, err := usimrank.ParseUpdateOp(strings.TrimSpace(opName))
-		if err != nil {
-			return nil, fmt.Errorf("-update %q: %v", part, err)
-		}
-		fields := strings.Split(rest, ",")
-		wantFields := 3
-		if op == usimrank.OpDelete {
-			wantFields = 2
-		}
-		if len(fields) != wantFields {
-			return nil, fmt.Errorf("-update %q: %s takes %d comma-separated values", part, op, wantFields)
-		}
-		u, err := strconv.Atoi(strings.TrimSpace(fields[0]))
-		if err != nil {
-			return nil, fmt.Errorf("-update %q: bad vertex %q", part, fields[0])
-		}
-		v, err := strconv.Atoi(strings.TrimSpace(fields[1]))
-		if err != nil {
-			return nil, fmt.Errorf("-update %q: bad vertex %q", part, fields[1])
-		}
-		up := usimrank.ArcUpdate{Op: op, U: u, V: v}
-		if op != usimrank.OpDelete {
-			p, err := strconv.ParseFloat(strings.TrimSpace(fields[2]), 64)
-			if err != nil {
-				return nil, fmt.Errorf("-update %q: bad probability %q", part, fields[2])
-			}
-			up.P = p
-		}
-		ups = append(ups, up)
-	}
-	if len(ups) == 0 {
-		return nil, fmt.Errorf("-update %q: no updates", spec)
-	}
-	return ups, nil
 }
 
 func usage(msg string) {

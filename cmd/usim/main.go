@@ -45,6 +45,7 @@ import (
 
 	"usimrank"
 	"usimrank/internal/sub"
+	"usimrank/internal/ugraph"
 )
 
 // baselineAlgs are the -alg values outside the shared engine (the
@@ -136,9 +137,9 @@ func main() {
 	// Update syntax is validated before the (possibly slow) graph load;
 	// semantic failures (missing arcs, out-of-range vertices) surface
 	// from the engine's own staging validation below.
-	updates, err := parseUpdates(*update)
+	updates, err := ugraph.ParseUpdateSpec(*update)
 	if err != nil {
-		usage(err.Error())
+		usage("-update " + err.Error())
 	}
 	g, err := usimrank.LoadGraphFile(*graphPath)
 	if err != nil {
@@ -358,59 +359,6 @@ func followSubscription(base, alg string, u, v, source, topK int, staleness time
 			os.Exit(1)
 		}
 	}
-}
-
-// parseUpdates parses the -update spec: "op:u,v[,p]" triples separated
-// by ';', e.g. "reweight:3,17,0.9;delete:4,1". Syntax errors are
-// reported with the failing triple.
-func parseUpdates(spec string) ([]usimrank.ArcUpdate, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	var ups []usimrank.ArcUpdate
-	for _, part := range strings.Split(spec, ";") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		opName, rest, ok := strings.Cut(part, ":")
-		if !ok {
-			return nil, fmt.Errorf("-update %q: want op:u,v[,p]", part)
-		}
-		op, err := usimrank.ParseUpdateOp(strings.TrimSpace(opName))
-		if err != nil {
-			return nil, fmt.Errorf("-update %q: %v", part, err)
-		}
-		fields := strings.Split(rest, ",")
-		wantFields := 3
-		if op == usimrank.OpDelete {
-			wantFields = 2
-		}
-		if len(fields) != wantFields {
-			return nil, fmt.Errorf("-update %q: %s takes %d comma-separated values", part, op, wantFields)
-		}
-		u, err := strconv.Atoi(strings.TrimSpace(fields[0]))
-		if err != nil {
-			return nil, fmt.Errorf("-update %q: bad vertex %q", part, fields[0])
-		}
-		v, err := strconv.Atoi(strings.TrimSpace(fields[1]))
-		if err != nil {
-			return nil, fmt.Errorf("-update %q: bad vertex %q", part, fields[1])
-		}
-		up := usimrank.ArcUpdate{Op: op, U: u, V: v}
-		if op != usimrank.OpDelete {
-			p, err := strconv.ParseFloat(strings.TrimSpace(fields[2]), 64)
-			if err != nil {
-				return nil, fmt.Errorf("-update %q: bad probability %q", part, fields[2])
-			}
-			up.P = p
-		}
-		ups = append(ups, up)
-	}
-	if len(ups) == 0 {
-		return nil, fmt.Errorf("-update %q: no updates", spec)
-	}
-	return ups, nil
 }
 
 // usage reports a bad invocation: the message, the flag summary, and

@@ -54,6 +54,8 @@ var client = &http.Client{Timeout: time.Minute}
 // builds next to the test binary: under `go test` that is the go
 // command's work directory, which the go command removes even when
 // this binary is killed, so an aborted run leaves no binaries behind.
+// TMPDIR points there too, so the directories of t.TempDir, whose
+// cleanup a killed binary never runs, go with it.
 func TestMain(m *testing.M) {
 	exe, err := os.Executable()
 	if err == nil {
@@ -61,6 +63,9 @@ func TestMain(m *testing.M) {
 	}
 	if err == nil {
 		err = build()
+	}
+	if err == nil {
+		err = os.Setenv("TMPDIR", binDir)
 	}
 	code := 1
 	if err != nil {

@@ -85,9 +85,9 @@ func main() {
 	applyTime := time.Since(applyStart)
 	fmt.Printf("ApplyUpdates: %d arcs changed in %v\n", stats.Applied, applyTime.Round(time.Microsecond))
 	fmt.Printf("  generation            %d -> %d\n", engine.Generation(), derived.Generation())
-	fmt.Printf("  row cache             %d evicted, %d retained (%.1f%% invalidated, horizon %d)\n",
+	fmt.Printf("  row cache             %d evicted, %d retained (%.1f%% invalidated)\n",
 		stats.RowsEvicted, stats.RowsRetained,
-		100*float64(stats.RowsEvicted)/float64(stats.RowsEvicted+stats.RowsRetained), stats.HorizonDepth)
+		100*float64(stats.RowsEvicted)/float64(stats.RowsEvicted+stats.RowsRetained))
 	fmt.Printf("  SR-SP filter pools    patched=%v, %d vertices invalidated (of %d), re-sampled on first use\n\n",
 		stats.FiltersPatched, stats.FilterVerticesRebuilt, 2*g.NumVertices())
 

@@ -57,16 +57,6 @@ func New[K comparable, V any](capacity int) *LRU[K, V] {
 	}
 }
 
-// Range calls f for every entry, from most to least recently used,
-// under c's lock; f must not call back into c.
-func (c *LRU[K, V]) Range(f func(K, V)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for e := c.head; e != nil; e = e.next {
-		f(e.key, e.val)
-	}
-}
-
 // Carry returns c's successor: an LRU with c's capacity that holds the
 // entries of c that keep accepts, in c's recency order, and continues
 // c's lifetime counters (see ContinueCounters), so totals read from the

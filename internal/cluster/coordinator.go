@@ -56,10 +56,6 @@ type Config struct {
 	// generation-skew error. Default 3.
 	AdminProbes    int
 	AdminProbeWait time.Duration
-	// HTTPClient overrides the downstream transport (tests inject
-	// httptest clients). Default: a dedicated client with generous
-	// connection pooling per endpoint.
-	HTTPClient *http.Client
 	// LogEvery, when positive, logs a one-line metrics summary at that
 	// period.
 	LogEvery time.Duration
@@ -96,13 +92,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.AdminProbeWait <= 0 {
 		c.AdminProbeWait = 200 * time.Millisecond
-	}
-	if c.HTTPClient == nil {
-		c.HTTPClient = &http.Client{Transport: &http.Transport{
-			MaxIdleConns:        256,
-			MaxIdleConnsPerHost: 64,
-			IdleConnTimeout:     90 * time.Second,
-		}}
 	}
 	if c.Logger == nil {
 		c.Logger = log.New(os.Stderr, "usimd-coord ", log.LstdFlags)
@@ -189,7 +178,13 @@ func New(cfg Config) (*Coordinator, error) {
 	co := &Coordinator{
 		cfg:    cfg,
 		shards: sm,
-		client: NewClient(cfg.Shards, cfg.HTTPClient, cfg.ShardTimeout, cfg.HedgeDelay),
+		// One dedicated downstream client with generous connection
+		// pooling per endpoint, for the scatter and the relay alike.
+		client: NewClient(cfg.Shards, &http.Client{Transport: &http.Transport{
+			MaxIdleConns:        256,
+			MaxIdleConnsPerHost: 64,
+			IdleConnTimeout:     90 * time.Second,
+		}}, cfg.ShardTimeout, cfg.HedgeDelay),
 		plane: server.NewPlane(ctx, "coordinator", server.Config{
 			QueryTimeout: cfg.QueryTimeout, MaxInFlight: cfg.MaxInFlight,
 			AdmissionReserve: cfg.AdmissionReserve, AdmissionWait: cfg.AdmissionWait,

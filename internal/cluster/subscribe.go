@@ -129,7 +129,7 @@ func (co *Coordinator) relayFrom(w http.ResponseWriter, fl http.Flusher, r *http
 	if rs.lastID > 0 {
 		req.Header.Set("Last-Event-ID", strconv.FormatUint(rs.lastID, 10))
 	}
-	resp, err := co.cfg.HTTPClient.Do(req)
+	resp, err := co.client.http.Do(req)
 	if err != nil {
 		return false, co.relayInterrupted(w, fl, r, rs)
 	}

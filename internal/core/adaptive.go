@@ -437,12 +437,6 @@ func (e *Engine) AdaptiveSingleSource(alg Algorithm, u int, ao AdaptiveOptions) 
 	return e.adaptiveSource(context.Background(), e.pool, alg, u, e.allCandidates(), ao)
 }
 
-// AdaptiveSingleSourceCtx is AdaptiveSingleSource with graceful
-// degradation under ctx's deadline.
-func (e *Engine) AdaptiveSingleSourceCtx(ctx context.Context, alg Algorithm, u int, ao AdaptiveOptions) (AdaptiveResult, error) {
-	return e.AdaptiveSingleSourceAgainstCtx(ctx, alg, u, e.allCandidates(), ao)
-}
-
 // AdaptiveSingleSourceAgainstCtx restricts the adaptive sweep to an
 // explicit candidate set: Scores[i] estimates s(u, candidates[i]).
 func (e *Engine) AdaptiveSingleSourceAgainstCtx(ctx context.Context, alg Algorithm, u int, candidates []int, ao AdaptiveOptions) (AdaptiveResult, error) {

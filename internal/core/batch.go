@@ -25,6 +25,8 @@ func (e *Engine) computeWith(p *parallel.Pool, alg Algorithm, u, v int) (float64
 
 // Clone returns an engine over the same graph with the same options but
 // an independent row cache and kernel counters, and an empty walk memo.
+// It has e's generation and e's TouchedSources, so an index patch onto
+// it recomputes the rows a patch onto e would.
 // The reversed graph and the SR-SP filter pools are shared: the graph
 // is immutable, and the pools are safe for concurrent use and their
 // filters never change (an invalidated vertex re-samples to the bits a
@@ -34,17 +36,18 @@ func (e *Engine) computeWith(p *parallel.Pool, alg Algorithm, u, v int) (float64
 func (e *Engine) Clone() *Engine {
 	fu, fv := e.pools() // materialise shared read-only pools before sharing
 	clone := &Engine{
-		g:      e.g,
-		rev:    e.rev,
-		opt:    e.opt,
-		pool:   e.pool,
-		rows:   cache.New[int, []matrix.Vec](e.opt.RowCacheSize),
-		poolU:  fu,
-		poolV:  fv,
-		v2pool: e.v2pool, // scratch buffers are generic, share the warm pool
-		gen:    e.gen,
-		memo:   newWalkMemo(e.opt),
-		kc:     new(kernelCounters),
+		g:       e.g,
+		rev:     e.rev,
+		opt:     e.opt,
+		pool:    e.pool,
+		rows:    cache.New[int, []matrix.Vec](e.opt.RowCacheSize),
+		poolU:   fu,
+		poolV:   fv,
+		v2pool:  e.v2pool, // scratch buffers are generic, share the warm pool
+		gen:     e.gen,
+		touched: e.touched,
+		memo:    newWalkMemo(e.opt),
+		kc:      new(kernelCounters),
 	}
 	// Same graph, same plan: share whatever the receiver has built.
 	clone.v2plan.Store(e.v2plan.Load())

@@ -92,7 +92,5 @@ func BatchCtx(ctx context.Context, e *Engine, alg Algorithm, pairs [][2]int, wor
 func (e *Engine) WarmFilters() {
 	fu, fv := e.pools()
 	fu.Materialize(e.pool)
-	if fv != fu {
-		fv.Materialize(e.pool)
-	}
+	fv.Materialize(e.pool)
 }

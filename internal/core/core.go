@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -46,15 +45,6 @@ type Options struct {
 	// Seed drives all randomness; equal seeds give identical results.
 	// Default 1.
 	Seed uint64
-	// MaxStates caps the exact method's walk states per level
-	// (walkpr.DefaultMaxStates when 0).
-	MaxStates int
-	// SharedPool makes SR-SP use one filter-vector pool for both the
-	// u-side and the v-side, the literal reading of Fig. 5. The default
-	// (false) builds two independent pools, which matches the
-	// independence semantics of the Sampling algorithm; the ablation
-	// experiments quantify the difference.
-	SharedPool bool
 	// RowCacheSize bounds the shared per-source exact-row LRU cache.
 	// When the working set exceeds it, the least-recently-used source's
 	// rows are evicted one at a time (never a wholesale reset). Default
@@ -154,6 +144,9 @@ type Engine struct {
 	// gen is the graph generation: 1 from NewEngine, predecessor+1 from
 	// ApplyUpdates. See Generation.
 	gen uint64
+	// touched is the update's TouchedSources on an ApplyUpdates
+	// successor and its clones, nil otherwise. See TouchedSources.
+	touched []int32
 
 	// memo keeps SR-TS source-kernel walk grids across queries and
 	// generations (walkmemo.go); ApplyUpdates carries it, and NewEngine
@@ -221,7 +214,7 @@ func (e *Engine) exactRows(src, K int) ([]matrix.Vec, error) {
 	if rows, ok := e.rows.Get(src); ok && len(rows) > K {
 		return rows[:K+1], nil
 	}
-	rows, err := walkpr.TransitionRows(e.rev, src, K, walkpr.Options{MaxStates: e.opt.MaxStates})
+	rows, err := walkpr.TransitionRows(e.rev, src, K, walkpr.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -252,7 +245,7 @@ func (e *Engine) WarmRows(vertices []int, K int) error {
 		if cached, ok := e.rows.Get(vertices[i]); ok && len(cached) > K {
 			return // already warm
 		}
-		rows[i], errs[i] = walkpr.TransitionRows(e.rev, vertices[i], K, walkpr.Options{MaxStates: e.opt.MaxStates})
+		rows[i], errs[i] = walkpr.TransitionRows(e.rev, vertices[i], K, walkpr.Options{})
 	})
 	for i, err := range errs {
 		if err != nil {
@@ -311,7 +304,7 @@ func (e *Engine) NewMeetingWalker(u, v, maxK int) (*MeetingWalker, error) {
 	if err != nil {
 		return nil, err
 	}
-	rw, err := walkpr.NewRowWalker(e.rev, v, walkpr.Options{MaxStates: e.opt.MaxStates})
+	rw, err := walkpr.NewRowWalker(e.rev, v, walkpr.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -429,25 +422,6 @@ func (e *Engine) sideSeed(v int, salt uint64) uint64 {
 	return x
 }
 
-// MeetingSampled estimates m(k)(u,v) for k = 0..Steps with the Sampling
-// algorithm (Fig. 4): the sampled tail of Sampling and SR-TS, drawn on
-// pooled grids by meetingGridWith. The N sample pairs are split into
-// fixed-size chunks; chunk i pairs the i-th chunk of u's walk stream
-// with the i-th chunk of v's, the chunks run concurrently on the
-// engine's pool, and their integer meeting counts merge in chunk
-// order, so the estimate is bit-identical for every Parallelism.
-func (e *Engine) MeetingSampled(u, v int) ([]float64, error) {
-	if err := e.checkVertex(u); err != nil {
-		return nil, err
-	}
-	if err := e.checkVertex(v); err != nil {
-		return nil, err
-	}
-	s := e.v2pool.Get()
-	defer e.release(s)
-	return slices.Clone(e.meetingGridWith(e.pool, s, nil, u, v)), nil
-}
-
 // Sampling computes ŝ(n)(u,v) by pure Monte Carlo (Sec. VI-B, Eq. 14):
 // Eq. 15 with no step exact.
 func (e *Engine) Sampling(u, v int) (float64, error) {
@@ -492,40 +466,20 @@ func (e *Engine) twoPhaseWith(p *parallel.Pool, st *strategy, u, v int) (float64
 
 // pools lazily builds the SR-SP filter-vector pools (the paper's offline
 // phase), fanning the per-vertex filter construction out over the
-// engine's worker pool. With SharedPool both sides use one pool, the
-// literal Fig. 5. The mutex makes the lazy build safe under concurrent
-// first queries. A built pool's filters never change: vertices an update
+// engine's worker pool. The u-side and the v-side draw from two
+// independent pools, matching the independence semantics of the
+// Sampling algorithm; exp.AblationSharedFilters measures the literal
+// Fig. 5 reading, one pool for both. The mutex makes the lazy build
+// safe under concurrent first queries. A built pool's filters never change: vertices an update
 // invalidated are re-sampled bit-identically on first use.
 func (e *Engine) pools() (*speedup.Filters, *speedup.Filters) {
 	e.filterMu.Lock()
 	defer e.filterMu.Unlock()
 	if e.poolU == nil {
 		e.poolU = speedup.BuildFiltersPool(e.rev, e.opt.N, rng.New(e.opt.Seed^0xF117E55), e.pool)
-		if e.opt.SharedPool {
-			e.poolV = e.poolU
-		} else {
-			e.poolV = speedup.BuildFiltersPool(e.rev, e.opt.N, rng.New(e.opt.Seed^0x0DDB175), e.pool)
-		}
+		e.poolV = speedup.BuildFiltersPool(e.rev, e.opt.N, rng.New(e.opt.Seed^0x0DDB175), e.pool)
 	}
 	return e.poolU, e.poolV
-}
-
-// MeetingSpeedup estimates m(k)(u,v) for k = 0..Steps with the bit-vector
-// speed-up (Sec. VI-D, Eq. 16).
-func (e *Engine) MeetingSpeedup(u, v int) ([]float64, error) {
-	if err := e.checkVertex(u); err != nil {
-		return nil, err
-	}
-	if err := e.checkVertex(v); err != nil {
-		return nil, err
-	}
-	su, sv := e.v2pool.Get(), e.v2pool.Get()
-	defer e.release(su)
-	defer e.release(sv)
-	if err := e.propagatePair(e.pool, su, sv, u, v); err != nil {
-		return nil, err
-	}
-	return speedup.MeetingEstimates(&su.tab, &sv.tab), nil
 }
 
 // propagatePair propagates u's counting tables over the u-side pool into

@@ -294,14 +294,6 @@ func TestSRSPCloseToBaseline(t *testing.T) {
 	}
 }
 
-func TestSRSPSharedPoolRuns(t *testing.T) {
-	g := ugraph.PaperFig1()
-	e := newEngine(t, g, Options{N: 2000, SharedPool: true, Seed: 5})
-	if _, err := e.SRSP(0, 1); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestTwoPhaseMoreAccurateThanSampling reproduces the paper's core
 // accuracy claim (Fig. 10): with a modest N, the two-phase estimate has
 // a smaller average error than pure sampling because the dominant

@@ -90,10 +90,7 @@ func (e *Engine) KernelStats() KernelStats {
 	e.filterMu.Unlock()
 	ks.FilterVerticesResampled = e.filterBase
 	if fu != nil {
-		ks.FilterVerticesResampled += fu.Resampled()
-		if fv != fu {
-			ks.FilterVerticesResampled += fv.Resampled()
-		}
+		ks.FilterVerticesResampled += fu.Resampled() + fv.Resampled()
 	}
 	return ks
 }

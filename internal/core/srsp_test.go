@@ -105,65 +105,60 @@ func TestSRSPConcurrentSourcesOnPatchedEngine(t *testing.T) {
 
 // TestUpdateInvalidatesWithoutResampling pins the lazy patch through the
 // engine: ApplyUpdates re-samples no filter, WarmFilters re-samples each
-// invalidated vertex exactly once per pool even when several batches
-// touch it, a later query re-samples nothing, and the kernel counters
-// carry across the generations.
+// invalidated vertex — a net-changed head — exactly once per pool even
+// when several batches touch it, a later query re-samples nothing, and
+// the kernel counters carry across the generations.
 func TestUpdateInvalidatesWithoutResampling(t *testing.T) {
-	for _, shared := range []bool{false, true} {
-		opt := Options{Steps: 4, N: 128, L: 1, Seed: 11, Parallelism: 2, SharedPool: shared}
-		e, ups := patchedSRSPEngine(t, opt)
-		if _, err := e.Compute(AlgSampling, 0, 1); err != nil {
+	opt := Options{Steps: 4, N: 128, L: 1, Seed: 11, Parallelism: 2}
+	e, ups := patchedSRSPEngine(t, opt)
+	if _, err := e.Compute(AlgSampling, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	walks := e.KernelStats().Walks
+	r := rng.New(5)
+	stale := map[int32]bool{}
+	for batch := 0; batch < 3; batch++ {
+		d := ugraph.NewDelta(e.Graph())
+		if err := d.StageAll(ups); err != nil {
 			t.Fatal(err)
 		}
-		walks := e.KernelStats().Walks
-		r := rng.New(5)
-		stale := map[int32]bool{}
-		for batch := 0; batch < 3; batch++ {
-			next, stats, err := e.ApplyUpdates(ups)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pools := 2
-			if shared {
-				pools = 1
-			}
-			if !stats.FiltersPatched || stats.FilterVerticesRebuilt != pools*stats.TouchedHeads {
-				t.Fatalf("batch %d: stats %+v, want %d pools × %d heads invalidated", batch, stats, pools, stats.TouchedHeads)
-			}
-			if ph := stats.Phases; ph.Compact <= 0 || ph.TouchBFS <= 0 || ph.Filters <= 0 {
-				t.Fatalf("batch %d: untimed phase in %+v", batch, ph)
-			}
-			for _, up := range ups {
-				stale[int32(up.V)] = true // the reversed graph's changed row is the head's
-			}
-			e = next
-			ups = randomBatch(r, e.Graph(), 4)
+		for _, h := range d.NetChangedHeads() {
+			stale[h] = true // the reversed graph's changed row is the head's
 		}
-		ks := e.KernelStats()
-		if ks.FilterVerticesResampled != 0 {
-			t.Fatalf("three updates re-sampled %d filter vertices, want 0", ks.FilterVerticesResampled)
-		}
-		if ks.Walks < walks {
-			t.Fatalf("walk counter fell from %d to %d across the updates", walks, ks.Walks)
-		}
-		want := 0
-		for w := range stale {
-			if e.rev.OutDegree(int(w)) > 0 {
-				want++
-			}
-		}
-		if !shared {
-			want *= 2
-		}
-		e.WarmFilters()
-		if got := e.KernelStats().FilterVerticesResampled; got != uint64(want) {
-			t.Fatalf("shared=%v: WarmFilters re-sampled %d filter vertices, want %d", shared, got, want)
-		}
-		if _, err := e.SRSP(0, 1); err != nil {
+		next, stats, err := e.ApplyUpdates(ups)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if got := e.KernelStats().FilterVerticesResampled; got != uint64(want) {
-			t.Fatalf("shared=%v: a query after WarmFilters re-sampled again (%d, want %d)", shared, got, want)
+		if !stats.FiltersPatched || stats.TouchedHeads != len(d.NetChangedHeads()) || stats.FilterVerticesRebuilt != 2*stats.TouchedHeads {
+			t.Fatalf("batch %d: stats %+v, want 2 pools × %d heads invalidated", batch, stats, len(d.NetChangedHeads()))
 		}
+		if ph := stats.Phases; ph.Compact <= 0 || ph.TouchBFS <= 0 || ph.Filters <= 0 {
+			t.Fatalf("batch %d: untimed phase in %+v", batch, ph)
+		}
+		e = next
+		ups = randomBatch(r, e.Graph(), 4)
+	}
+	ks := e.KernelStats()
+	if ks.FilterVerticesResampled != 0 {
+		t.Fatalf("three updates re-sampled %d filter vertices, want 0", ks.FilterVerticesResampled)
+	}
+	if ks.Walks < walks {
+		t.Fatalf("walk counter fell from %d to %d across the updates", walks, ks.Walks)
+	}
+	want := 0
+	for w := range stale {
+		if e.rev.OutDegree(int(w)) > 0 {
+			want += 2
+		}
+	}
+	e.WarmFilters()
+	if got := e.KernelStats().FilterVerticesResampled; got != uint64(want) {
+		t.Fatalf("WarmFilters re-sampled %d filter vertices, want %d", got, want)
+	}
+	if _, err := e.SRSP(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.KernelStats().FilterVerticesResampled; got != uint64(want) {
+		t.Fatalf("a query after WarmFilters re-sampled again (%d, want %d)", got, want)
 	}
 }

@@ -18,17 +18,15 @@ type UpdateStats struct {
 	// to the predecessor's graph; staged sequences that net out (insert
 	// then delete) are not counted.
 	Applied int
-	// TouchedHeads is the number of distinct arc heads among the
-	// updates — the seed set of the invalidation BFS.
+	// TouchedHeads is the number of distinct heads of the arcs Applied
+	// counts — the seed set of the invalidation BFS. A head whose staged
+	// arcs net out keeps a byte-identical reversed out-row, so it seeds
+	// nothing.
 	TouchedHeads int
-	// HorizonDepth is the BFS depth the invalidation ran to: the
-	// deepest cached row prefix minus one, so every cached entry is
-	// either provably unaffected or evicted.
-	HorizonDepth int
 	// RowsEvicted and RowsRetained partition the predecessor's row
-	// cache: evicted entries were within the walk horizon of a touched
-	// arc, retained entries are provably bit-identical on the mutated
-	// graph and carry over warm.
+	// cache: evicted entries were within their cached depth of a
+	// net-changed head, retained entries are provably bit-identical on
+	// the mutated graph and carry over warm.
 	RowsEvicted  int
 	RowsRetained int
 	// FiltersPatched reports whether the predecessor had built its
@@ -44,8 +42,9 @@ type UpdateStats struct {
 	// TouchedSources is the sorted set of source vertices whose
 	// reverse-walk distribution can have changed: vertices that reach a
 	// net-changed arc head within Steps−1 forward hops of the union of
-	// the old and new graphs (the invalidation BFS run to the full walk
-	// horizon, not just the cached-row horizon). The contract is
+	// the old and new graphs (the invalidation BFS, run to the full walk
+	// horizon). The successor engine keeps the same slice
+	// (Engine.TouchedSources); neither may be modified. The contract is
 	// per-SIDE: a query answer is provably bit-identical across the
 	// update iff every constituent source — each side of every pair the
 	// shape evaluates — is outside this set. A pairwise score s(u,v)
@@ -70,18 +69,16 @@ type UpdatePhases struct {
 	// probabilities alone when no row gains or loses an arc) and a
 	// merge of each patched row.
 	Compact time.Duration
-	// EvictBFS is the BoundedDistances run that decides row-cache
-	// eviction (zero when no head or no cached row exists).
-	EvictBFS time.Duration
-	// TouchBFS is the BoundedDistances run to the full walk horizon that
-	// yields TouchedSources (zero for a batch that nets out).
+	// TouchBFS is the one BoundedDistances run, from the net-changed
+	// heads to the full walk horizon, that yields TouchedSources and
+	// decides row-cache eviction (zero for a batch that nets out).
 	TouchBFS time.Duration
 	// RowCarry is the carry-over of surviving row-cache entries and of
 	// the walk memo's keys and kept sides.
 	RowCarry time.Duration
 	// Filters is the SR-SP filter invalidation: per built pool, a copy
 	// of the block table's page pointers and a clone of each page that
-	// holds a touched head.
+	// holds a net-changed head.
 	Filters time.Duration
 }
 
@@ -98,26 +95,31 @@ func (e *Engine) Generation() uint64 { return e.gen }
 // graph, which is what lets a serving plane swap generations under
 // live traffic with no torn state.
 //
-// Compared to NewEngine on the mutated graph (plus a filter warm-up),
-// the derived engine skips almost all of the rebuild:
+// The walk is Markov: its next step depends only on the reversed
+// out-row of the vertex it is on, and that row changed only for a
+// net-changed arc head (a head whose staged arcs net out keeps a
+// byte-identical row). So one bounded BFS from those heads, out to the
+// walk horizon Steps−1, answers "what did this batch reach" for every
+// consumer: row-cache eviction, TouchedSources (the subscription
+// wake-up) and the index patch, which reads the successor's
+// TouchedSources. Compared to NewEngine on the mutated graph (plus a
+// filter warm-up), the derived engine skips almost all of the rebuild:
 //
 //   - the mutated CSR and its reverse are compacted incrementally from
 //     the update overlay (bulk copies of the untouched rows, no
 //     re-sort);
-//   - row-cache entries survive unless their source reaches a touched
-//     arc head within the cached walk horizon (a bounded BFS over the
-//     new graph decides), and the survivors move to the successor's
-//     cache in one pass;
-//   - built SR-SP filter pools are patched per vertex: the vertices
-//     whose reversed out-row changed are invalidated on cloned pages of
-//     the block table, and re-sampled only when an SR-SP propagation
-//     first reaches them (or by WarmFilters), so an update re-samples
-//     no filter;
+//   - row-cache entries survive unless the BFS reaches their source
+//     within the cached depth, and the survivors move to the
+//     successor's cache in one pass;
+//   - built SR-SP filter pools are patched per vertex: the net-changed
+//     heads are invalidated on cloned pages of the block table, and
+//     re-sampled only when an SR-SP propagation first reaches them (or
+//     by WarmFilters), so an update re-samples no filter;
 //   - the walk memo of the Sampling and SR-TS source kernel carries
-//     over with the batch's staged heads, the rows it may have changed.
-//     The update checks no walk: the successor's next source query
-//     reuses each kept chunk none of whose walks left such a row, and
-//     re-draws the others (walkmemo.go).
+//     over with the net-changed heads. The update checks no walk: the
+//     successor's next source query reuses each kept chunk none of
+//     whose walks left such a head, and re-draws the others
+//     (walkmemo.go).
 //
 // Every query on the derived engine is bit-identical to the same query
 // on a freshly built engine over the mutated graph with the same
@@ -127,8 +129,8 @@ func (e *Engine) Generation() uint64 { return e.gen }
 // The oracle test suite pins this. Kernel and row-cache counters carry
 // over, so lifetime totals read from the newest generation never drop.
 //
-// An empty update batch is legal and yields a successor with all warm
-// state retained (only the generation changes).
+// An empty update batch, or one that nets out, is legal and yields a
+// successor with all warm state retained (only the generation changes).
 func (e *Engine) ApplyUpdates(updates []ugraph.ArcUpdate) (*Engine, *UpdateStats, error) {
 	phase := time.Now()
 	lap := func(dst *time.Duration) { // charges the time since the last lap to *dst
@@ -142,13 +144,7 @@ func (e *Engine) ApplyUpdates(updates []ugraph.ArcUpdate) (*Engine, *UpdateStats
 	}
 	newG := d.Compact()
 	newRev := d.Reversed(e.rev).Compact()
-	heads := d.TouchedHeads()
-	// Both invalidation BFS runs read the new graph alone, yet give the
-	// distances over the union of the old and new adjacency: every arc
-	// the batch deletes ends at a head that seeds both runs, and a
-	// shortest path from the seeds never enters a seed, so no old arc
-	// can shorten a distance.
-
+	heads := d.NetChangedHeads()
 	stats := &UpdateStats{
 		Applied:      d.NetChanges(),
 		TouchedHeads: len(heads),
@@ -156,44 +152,33 @@ func (e *Engine) ApplyUpdates(updates []ugraph.ArcUpdate) (*Engine, *UpdateStats
 	}
 	lap(&stats.Phases.Compact)
 
-	// Row-cache carry-over. A cached entry holds rows 0..D for its
-	// source on the reversed graph; level k changes only if the source
-	// reaches a touched head within k−1 steps of the original-direction
-	// graph. Evict iff dist(src) ≤ D−1, i.e. some cached level is
-	// inside the horizon.
-	maxDepth, cached := 0, 0
-	e.rows.Range(func(_ int, rows []matrix.Vec) {
-		maxDepth = max(maxDepth, len(rows)-2)
-		cached++
-	})
-	lap(&stats.Phases.RowCarry)
+	// The invalidation BFS reads the new graph alone, yet gives the
+	// distances over the union of the old and new adjacency: every arc
+	// the batch deletes ends at a net-changed head, and a shortest path
+	// from the heads never enters a head, so no old arc can shorten a
+	// distance.
+	horizon := max(e.opt.Steps-1, 0)
 	var dist []int32
-	if len(heads) > 0 && cached > 0 {
-		dist = ugraph.BoundedDistances(heads, maxDepth, newG)
-	}
-	lap(&stats.Phases.EvictBFS)
-
-	// Touched-source set for downstream consumers (the subscription
-	// plane): a second BFS seeded only by the net-changed heads, run to
-	// the full walk horizon Steps−1. It is deliberately separate from
-	// the eviction BFS above — eviction stays conservative over every
-	// staged head (a netted-out arc costs at most a spurious eviction),
-	// while wake-ups must be precise (a netted-out batch changes no
-	// answer and must produce an empty set).
-	if netHeads := d.NetChangedHeads(); len(netHeads) > 0 {
-		horizon := max(e.opt.Steps-1, 0)
-		for v, dv := range ugraph.BoundedDistances(netHeads, horizon, newG) {
+	if len(heads) > 0 {
+		dist = ugraph.BoundedDistances(heads, horizon, newG)
+		for v, dv := range dist {
 			if dv >= 0 {
 				stats.TouchedSources = append(stats.TouchedSources, int32(v))
 			}
 		}
 	}
 	lap(&stats.Phases.TouchBFS)
-	// Rows that queries on the predecessor cached after the depth scan
-	// above are evicted unless the BFS reached deep enough to clear them.
+
+	// Row-cache carry-over. A cached entry holds rows 0..D for its
+	// source on the reversed graph; level k changes only if the source
+	// reaches a net-changed head within k−1 steps of the original-
+	// direction graph, so the entry is evicted iff dist(src) ≤ D−1. The
+	// BFS stops at the walk horizon, so an entry cached deeper than
+	// Steps is evicted on any real change; only MeetingExact, Series or
+	// WarmRows called with K > Steps cache one, and no serving path does.
 	newRows := e.rows.Carry(func(src int, rows []matrix.Vec) bool {
 		depth := len(rows) - 2
-		if len(heads) > 0 && (dist == nil || depth > maxDepth || (dist[src] >= 0 && int(dist[src]) <= depth)) {
+		if dist != nil && (depth > horizon || (dist[src] >= 0 && int(dist[src]) <= depth)) {
 			stats.RowsEvicted++
 			return false
 		}
@@ -205,27 +190,21 @@ func (e *Engine) ApplyUpdates(updates []ugraph.ArcUpdate) (*Engine, *UpdateStats
 
 	// Filter-pool carry-over: patch only if the predecessor built them;
 	// otherwise the successor builds lazily on first SR-SP query, same
-	// as a fresh engine. Touched vertices on the reversed graph are
-	// exactly the heads: rev out-row of y holds the reversed (·, y)
-	// arcs.
+	// as a fresh engine. The vertices whose reversed out-row changed are
+	// exactly the net-changed heads: the rev out-row of y holds the
+	// reversed (·, y) arcs.
 	e.filterMu.Lock()
 	poolU, poolV := e.poolU, e.poolV
 	e.filterMu.Unlock()
 	var newPoolU, newPoolV *speedup.Filters
 	if poolU != nil {
 		newPoolU = speedup.PatchFilters(poolU, newRev, heads)
+		newPoolV = speedup.PatchFilters(poolV, newRev, heads)
 		stats.FiltersPatched = true
-		stats.FilterVerticesRebuilt = len(heads)
-		if poolV == poolU {
-			newPoolV = newPoolU
-		} else {
-			newPoolV = speedup.PatchFilters(poolV, newRev, heads)
-			stats.FilterVerticesRebuilt += len(heads)
-		}
+		stats.FilterVerticesRebuilt = 2 * len(heads)
 	}
 	lap(&stats.Phases.Filters)
 
-	stats.HorizonDepth = maxDepth
 	return &Engine{
 		g:    newG,
 		rev:  newRev,
@@ -240,8 +219,16 @@ func (e *Engine) ApplyUpdates(updates []ugraph.ArcUpdate) (*Engine, *UpdateStats
 		poolU:      newPoolU,
 		poolV:      newPoolV,
 		gen:        e.gen + 1,
+		touched:    stats.TouchedSources,
 		memo:       memo,
 		kc:         e.kc,
 		filterBase: e.filterBase,
 	}, stats, nil
 }
+
+// TouchedSources returns the sorted sources whose walk distribution the
+// update that made e can have changed: UpdateStats.TouchedSources of
+// the ApplyUpdates call that returned e (or the engine e was cloned
+// from), and nil for an engine NewEngine built. Callers must not modify
+// it. Index patching recomputes exactly these rows.
+func (e *Engine) TouchedSources() []int32 { return e.touched }

@@ -281,35 +281,14 @@ func TestUpdateInvalidationBounded10k(t *testing.T) {
 	}
 }
 
-// TestMeetingSpeedupWrapper pins the exported MeetingSpeedup wrapper to
-// the estimates the SRSP path consumes.
-func TestMeetingSpeedupWrapper(t *testing.T) {
-	g := ugraph.PaperFig1()
-	e, err := NewEngine(g, Options{Seed: 1, N: 64, Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := e.MeetingSpeedup(0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m) != e.Options().Steps+1 {
-		t.Fatalf("got %d levels, want %d", len(m), e.Options().Steps+1)
-	}
-	if m[0] != 0 {
-		t.Fatalf("m(0)(0,1) = %v for distinct sources, want 0", m[0])
-	}
-	if _, err := e.MeetingSpeedup(-1, 0); err == nil {
-		t.Fatal("out-of-range source accepted")
-	}
-}
-
 // TestUpdateSetsMatchTwoGraphDistances pins the eviction and wake-up
 // sets of ApplyUpdates, which searches the new graph alone, against the
-// ground truth of a BoundedDistances over both the old and the new
-// graph, for a batch with a net delete, one without and one that nets
-// out. Rows are cached at three depths, so the eviction horizon differs
-// per row.
+// ground truth of a BoundedDistances from the net-changed heads over
+// both the old and the new graph, for a batch with a net delete, one
+// without and one that nets out. Rows are cached at three depths within
+// the walk horizon, so the eviction horizon differs per row, and a few
+// deeper than it, which the BFS does not reach and any real change
+// evicts; the batch that nets out evicts none.
 func TestUpdateSetsMatchTwoGraphDistances(t *testing.T) {
 	r := rng.New(2718)
 	g := randUGraph(r, 60, 0.04)
@@ -326,6 +305,9 @@ func TestUpdateSetsMatchTwoGraphDistances(t *testing.T) {
 		if err := e.WarmRows(vs, K); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := e.WarmRows([]int{0, 1, 2}, opt.Steps+3); err != nil {
+		t.Fatal(err)
 	}
 	var present, absent [][2]int
 	for u := 0; u < g.NumVertices(); u++ {
@@ -378,27 +360,23 @@ func TestUpdateSetsMatchTwoGraphDistances(t *testing.T) {
 		if removes != bt.removes {
 			t.Fatalf("%s: the batch deletes a base arc: %v, want %v", bt.name, removes, bt.removes)
 		}
+		net := d.NetChangedHeads()
+		dist := ugraph.BoundedDistances(net, opt.Steps-1, g, newG)
 		keys, vals := e.rows.Snapshot()
-		maxDepth := 0
-		for _, rows := range vals {
-			maxDepth = max(maxDepth, len(rows)-2)
-		}
-		dist := ugraph.BoundedDistances(d.TouchedHeads(), maxDepth, g, newG)
 		var wantKept []int
 		wantEvicted := 0
 		for i, src := range keys {
-			if dist[src] >= 0 && int(dist[src]) <= len(vals[i])-2 {
+			depth := len(vals[i]) - 2
+			if (len(net) > 0 && depth > opt.Steps-1) || (dist[src] >= 0 && int(dist[src]) <= depth) {
 				wantEvicted++
 			} else {
 				wantKept = append(wantKept, src)
 			}
 		}
 		var wantTouched []int32
-		if net := d.NetChangedHeads(); len(net) > 0 {
-			for v, dv := range ugraph.BoundedDistances(net, opt.Steps-1, g, newG) {
-				if dv >= 0 {
-					wantTouched = append(wantTouched, int32(v))
-				}
+		for v, dv := range dist {
+			if dv >= 0 {
+				wantTouched = append(wantTouched, int32(v))
 			}
 		}
 
@@ -416,13 +394,73 @@ func TestUpdateSetsMatchTwoGraphDistances(t *testing.T) {
 		if !slices.Equal(st.TouchedSources, wantTouched) {
 			t.Errorf("%s: TouchedSources %v, two-graph distances give %v", bt.name, st.TouchedSources, wantTouched)
 		}
-		if bt.name == "nets out" && len(st.TouchedSources) != 0 {
-			t.Errorf("a batch that nets out touched %d sources", len(st.TouchedSources))
+		if bt.name == "nets out" && (len(st.TouchedSources) != 0 || st.RowsEvicted != 0) {
+			t.Errorf("a batch that nets out touched %d sources and evicted %d rows", len(st.TouchedSources), st.RowsEvicted)
+		}
+		if !slices.Equal(succ.TouchedSources(), st.TouchedSources) {
+			t.Errorf("%s: the successor keeps touched set %v, the stats report %v", bt.name, succ.TouchedSources(), st.TouchedSources)
 		}
 		evictedAny = evictedAny || wantEvicted > 0
 	}
 	if !evictedAny {
 		t.Fatal("no batch evicted a row; the test graph is too sparse to pin anything")
+	}
+}
+
+// TestNetOutBatchChangesNothing: a batch whose staged arcs all net out
+// (a reweight and back, an insert then a delete, a delete then a
+// re-insert) leaves every reversed out-row byte-identical, so its
+// successor invalidates no filter, evicts no row, touches no source and
+// re-draws no walk chunk: its next source query draws no more walks
+// than the successor of an empty batch, and has a fresh engine's bits.
+func TestNetOutBatchChangesNothing(t *testing.T) {
+	g := testGraph()
+	e := newEngine(t, g, Options{N: 300, Seed: 6, Parallelism: 2})
+	q := memoQuery{u: 0, cands: []int{1, 5, 17, 40, 63}}
+	for range 2 { // the second request keeps every side
+		if _, err := e.SingleSourceAgainst(AlgTwoPhase, q.u, q.cands); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.WarmFilters()
+	// h is left by the walks of some kept chunks, so an update that
+	// counted its staged heads as changed would re-draw those.
+	h := chunkSplitter(t, e)
+	in := e.rev.Out(h) // the tails of h's in-arcs
+	c := 0
+	for g.Prob(c, h) > 0 {
+		c++
+	}
+	p := g.Prob(int(in[0]), h)
+	netOut := []ugraph.ArcUpdate{
+		{Op: ugraph.OpReweight, U: int(in[0]), V: h, P: p / 2},
+		{Op: ugraph.OpInsert, U: c, V: h, P: 0.5},
+		{Op: ugraph.OpDelete, U: int(in[len(in)-1]), V: h},
+		{Op: ugraph.OpReweight, U: int(in[0]), V: h, P: p},
+		{Op: ugraph.OpDelete, U: c, V: h},
+		{Op: ugraph.OpInsert, U: int(in[len(in)-1]), V: h, P: g.Prob(int(in[len(in)-1]), h)},
+	}
+	drawn := map[string]uint64{}
+	for _, bt := range []struct {
+		name string
+		ups  []ugraph.ArcUpdate
+	}{{"empty", nil}, {"nets out", netOut}} {
+		succ, st, err := e.ApplyUpdates(bt.ups)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Applied != 0 || st.TouchedHeads != 0 || st.RowsEvicted != 0 || len(st.TouchedSources) != 0 ||
+			!st.FiltersPatched || st.FilterVerticesRebuilt != 0 || succ.TouchedSources() != nil {
+			t.Fatalf("%s: stats %+v, successor touched set %v; want nothing changed", bt.name, st, succ.TouchedSources())
+		}
+		d0, _ := walkCounts(succ)
+		checkFresh(t, bt.name, succ, q)
+		d1, _ := walkCounts(succ)
+		drawn[bt.name] = d1 - d0
+	}
+	if drawn["nets out"] > drawn["empty"] {
+		t.Fatalf("after a batch that nets out the source query drew %d walks, after an empty batch %d",
+			drawn["nets out"], drawn["empty"])
 	}
 }
 

@@ -23,12 +23,13 @@ import (
 // position at steps 0..Steps−1 of a chunk's grid is a vertex whose
 // reversed out-row changed, re-drawing the chunk from its fixed seed
 // makes the same RNG calls with the same outcomes and yields the same
-// grid. The rows a batch can change are its staged heads
-// (Delta.TouchedHeads), so a chunk drawn d batches ago is reusable iff
-// none of its walks left a head of those d batches. A netted-out arc
-// only costs a re-draw. The unit is the chunk, not the walk: a chunk's
-// walks share one RNG stream, so one changed walk shifts the draws of
-// every later walk in it.
+// grid. The rows a batch changes are exactly its net-changed heads
+// (Delta.NetChangedHeads; a head whose staged arcs net out keeps a
+// byte-identical row), so a chunk drawn d batches ago is reusable iff
+// none of its walks left a net-changed head of those d batches. The
+// unit is the chunk, not the walk: a chunk's walks share one RNG
+// stream, so one changed walk shifts the draws of every later walk in
+// it.
 //
 // Every answer is therefore bit-identical to a fresh engine's: a chunk
 // is either provably the grid a fresh draw gives, or drawn afresh.
@@ -71,7 +72,7 @@ type walkMemo struct {
 	kept *cache.LRU[sideKey, *sideGrids]
 
 	// changed[j] holds the rows changed by the batch that made the
-	// engine's generation minus j: its staged heads, sorted. Only the
+	// engine's generation minus j: its net-changed heads, sorted. Only the
 	// batches since the memo was created are recorded, and every kept
 	// entry was drawn after its creation, so an entry at most
 	// memoGenerations old always finds its batches here.
@@ -95,7 +96,7 @@ func newWalkMemo(opt Options) *walkMemo {
 }
 
 // carry returns the memo of the successor at generation gen, whose
-// batch staged arcs into heads: every recorded key, and every kept side
+// batch changed the rows of heads: every recorded key, and every kept side
 // young enough to be checked, in recency order. The successor's LRUs
 // are its own, so two successors of one engine never see each other's
 // entries; the grids themselves are shared.

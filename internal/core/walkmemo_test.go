@@ -309,7 +309,11 @@ func TestWalkMemoConcurrentGenerations(t *testing.T) {
 			}
 		}
 	}
-	succ := apply(t, e, memoBatch(rng.New(8), g))
+	// Reweight an arc into a vertex that some kept chunks' walks leave
+	// and others do not, so the successor must share some chunks and
+	// re-draw others.
+	h := chunkSplitter(t, e)
+	succ := apply(t, e, []ugraph.ArcUpdate{{Op: ugraph.OpReweight, U: int(e.rev.Out(h)[0]), V: h, P: 0.5}})
 	engines := []*Engine{e, succ}
 	want := make([][][]float64, len(engines))
 	for i, eng := range engines {

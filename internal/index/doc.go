@@ -73,14 +73,16 @@
 // carry-over: occ_v[0..n] is computed from walks of length ≤ n out of v
 // on the reversed graph, and such walks instantiate only the reversed
 // out-rows of vertices within n−1 steps of v. A reversed out-row
-// changed iff its vertex is a touched arc head, so v's rows change only
-// if v reaches a touched head within n−1 reversed steps — equivalently,
-// iff the bounded BFS from the heads over the original-direction
-// adjacency (old and new graphs both, so deleted paths still count)
-// reaches v. Patch recomputes exactly those vertices' rows on the
-// successor engine and shares every other row with the predecessor;
-// because walk streams depend only on (seed, vertex, side), the result
-// is bit-identical to a fresh Build on the successor.
+// changed iff its vertex is a net-changed arc head, so v's rows change
+// only if v reaches such a head within n−1 reversed steps —
+// equivalently, iff the bounded BFS from those heads over the
+// original-direction adjacency (old and new graphs both, so deleted
+// paths still count) reaches v. ApplyUpdates runs that BFS once and
+// keeps the vertices it reached as the successor's TouchedSources;
+// Patch recomputes exactly those vertices' rows on the successor
+// engine and shares every other row with the predecessor. Because walk
+// streams depend only on (seed, vertex, side), the result is
+// bit-identical to a fresh Build on the successor.
 //
 // # Lineages share one mapping
 //

@@ -114,7 +114,8 @@ func TestBuildDeterministicAcrossParallelism(t *testing.T) {
 // TestPatchMatchesFreshRebuild is the patch plane's central contract:
 // after ApplyUpdates, patching the old index on the successor engine is
 // bit-identical to rebuilding from scratch — while recomputing only the
-// BFS-touched vertices.
+// BFS-touched vertices. A Clone of the successor has its generation and
+// touched set, so patching onto it recomputes the same rows.
 func TestPatchMatchesFreshRebuild(t *testing.T) {
 	g := testGraph()
 	e := newEngine(t, g, core.Options{N: 300, Seed: 5})
@@ -133,7 +134,7 @@ func TestPatchMatchesFreshRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	patched, n, err := Patch(x, succ, ups)
+	patched, n, err := Patch(x, succ)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,6 +149,14 @@ func TestPatchMatchesFreshRebuild(t *testing.T) {
 	if err := succ.CheckIndex(patched); err != nil {
 		t.Fatalf("successor rejects patched index: %v", err)
 	}
+	cloned, nc, err := Patch(x, succ.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nc != n {
+		t.Fatalf("patch onto a clone recomputed %d vertices, onto the successor %d", nc, n)
+	}
+	sameIndex(t, cloned, fresh)
 	if err := e.CheckIndex(patched); err == nil {
 		t.Fatal("predecessor accepts patched index")
 	}
@@ -166,7 +175,7 @@ func TestPatchEmptyBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	patched, n, err := Patch(x, succ, nil)
+	patched, n, err := Patch(x, succ)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,6 +187,45 @@ func TestPatchEmptyBatch(t *testing.T) {
 	}
 }
 
+// TestPatchNetOutBatch: a batch whose staged arcs all net out (a
+// reweight and back, an insert then a delete) changes no reversed
+// out-row, so the patch recomputes no vertex and still equals a fresh
+// build.
+func TestPatchNetOutBatch(t *testing.T) {
+	g := testGraph()
+	e := newEngine(t, g, core.Options{N: 200, Seed: 2})
+	x, err := Build(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, v, _ := g.ArcEndpoints(0)
+	p := g.Prob(int(u), int(v))
+	if g.Prob(3, 90) != 0 {
+		t.Fatal("test graph has arc (3, 90)")
+	}
+	succ, _, err := e.ApplyUpdates([]ugraph.ArcUpdate{
+		{Op: ugraph.OpReweight, U: int(u), V: int(v), P: p / 2},
+		{Op: ugraph.OpInsert, U: 3, V: 90, P: 0.7},
+		{Op: ugraph.OpReweight, U: int(u), V: int(v), P: p},
+		{Op: ugraph.OpDelete, U: 3, V: 90},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	patched, n, err := Patch(x, succ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 0 {
+		t.Fatalf("a batch that nets out patched %d vertices", n)
+	}
+	fresh, err := Build(succ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameIndex(t, patched, fresh)
+}
+
 // TestPatchRejectsWrongLineage: patching requires exactly the
 // generation successor and matching walk-stream parameters.
 func TestPatchRejectsWrongLineage(t *testing.T) {
@@ -187,7 +235,7 @@ func TestPatchRejectsWrongLineage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Patch(x, e, nil); err == nil {
+	if _, _, err := Patch(x, e); err == nil {
 		t.Fatal("patch onto the same generation accepted")
 	}
 	succ, _, err := e.ApplyUpdates(nil)
@@ -198,12 +246,12 @@ func TestPatchRejectsWrongLineage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Patch(x, succ2, nil); err == nil {
+	if _, _, err := Patch(x, succ2); err == nil {
 		t.Fatal("patch across two generations accepted")
 	}
 	badMeta := x.meta
 	badMeta.Seed = 99
-	if _, _, err := Patch(fromParts(badMeta, x.rows), succ, nil); err == nil {
+	if _, _, err := Patch(fromParts(badMeta, x.rows), succ); err == nil {
 		t.Fatal("patch with mismatched seed accepted")
 	}
 }
@@ -261,7 +309,7 @@ func TestPatchDropsPredecessor(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			patched, _, err := Patch(x, succ, ups)
+			patched, _, err := Patch(x, succ)
 			if err != nil {
 				t.Fatal(err)
 			}

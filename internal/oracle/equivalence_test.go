@@ -238,95 +238,92 @@ func TestApplyUpdatesEquivalentAcrossAllShapes(t *testing.T) {
 // vertices invalidated by several batches that no propagation has
 // re-sampled yet. Every SR-SP shape — pairwise score, single-source,
 // top-k, batch and the matrix sweep — must then return the bits of a
-// from-scratch engine on the final graph, with one shared pool and with
-// two, at Parallelism 1 and 4.
+// from-scratch engine on the final graph, at Parallelism 1 and 4.
 func TestChainedUpdatesSRSPShapes(t *testing.T) {
 	r := rng.New(31337)
-	for _, shared := range []bool{false, true} {
-		for _, par := range []int{1, 4} {
-			opt := usimrank.Options{Steps: 5, N: 192, L: 1, Seed: 29, Parallelism: par, SharedPool: shared}
-			g := randMidGraph(r, 40+r.Intn(20), 160+r.Intn(80))
-			e, err := usimrank.New(g, opt)
+	for _, par := range []int{1, 4} {
+		opt := usimrank.Options{Steps: 5, N: 192, L: 1, Seed: 29, Parallelism: par}
+		g := randMidGraph(r, 40+r.Intn(20), 160+r.Intn(80))
+		e, err := usimrank.New(g, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.WarmFilters()
+		for b := 0; b < 2+r.Intn(3); b++ {
+			if e, _, err = e.ApplyUpdates(stageableBatch(r, e.Graph(), 1+r.Intn(5))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rebuilt, err := usimrank.New(e.Graph(), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := e.Graph().NumVertices()
+		src := r.Intn(n)
+		gotSS, err := e.SingleSource(usimrank.AlgSRSP, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantSS, err := rebuilt.SingleSource(usimrank.AlgSRSP, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := range wantSS {
+			if gotSS[v] != wantSS[v] {
+				t.Fatalf("par=%d source(%d)[%d]: %v vs %v", par, src, v, gotSS[v], wantSS[v])
+			}
+		}
+		for q := 0; q < 5; q++ {
+			u, v := r.Intn(n), r.Intn(n)
+			got, err := e.Compute(usimrank.AlgSRSP, u, v)
 			if err != nil {
 				t.Fatal(err)
 			}
-			e.WarmFilters()
-			for b := 0; b < 2+r.Intn(3); b++ {
-				if e, _, err = e.ApplyUpdates(stageableBatch(r, e.Graph(), 1+r.Intn(5))); err != nil {
-					t.Fatal(err)
-				}
-			}
-			rebuilt, err := usimrank.New(e.Graph(), opt)
+			want, err := rebuilt.Compute(usimrank.AlgSRSP, u, v)
 			if err != nil {
 				t.Fatal(err)
 			}
-			n := e.Graph().NumVertices()
-			src := r.Intn(n)
-			gotSS, err := e.SingleSource(usimrank.AlgSRSP, src)
-			if err != nil {
-				t.Fatal(err)
+			if got != want {
+				t.Fatalf("par=%d score(%d,%d): %v vs %v", par, u, v, got, want)
 			}
-			wantSS, err := rebuilt.SingleSource(usimrank.AlgSRSP, src)
-			if err != nil {
-				t.Fatal(err)
+		}
+		gotTK, err := usimrank.TopKSimilar(e, usimrank.AlgSRSP, src, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantTK, err := usimrank.TopKSimilar(rebuilt, usimrank.AlgSRSP, src, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(gotTK) != len(wantTK) {
+			t.Fatalf("par=%d topk: %d vs %d results", par, len(gotTK), len(wantTK))
+		}
+		for i := range wantTK {
+			if gotTK[i] != wantTK[i] {
+				t.Fatalf("par=%d topk[%d]: %+v vs %+v", par, i, gotTK[i], wantTK[i])
 			}
-			for v := range wantSS {
-				if gotSS[v] != wantSS[v] {
-					t.Fatalf("shared=%v par=%d source(%d)[%d]: %v vs %v", shared, par, src, v, gotSS[v], wantSS[v])
-				}
+		}
+		pairs := [][2]int{{src, 0}, {src, 1}, {0, src}, {2, 3}, {3, 2}}
+		gotB := usimrank.Batch(e, usimrank.AlgSRSP, pairs, 0)
+		wantB := usimrank.Batch(rebuilt, usimrank.AlgSRSP, pairs, 0)
+		for i := range wantB {
+			if gotB[i].Err != nil || gotB[i].Value != wantB[i].Value {
+				t.Fatalf("par=%d batch[%d]: %+v vs %+v", par, i, gotB[i], wantB[i])
 			}
-			for q := 0; q < 5; q++ {
-				u, v := r.Intn(n), r.Intn(n)
-				got, err := e.Compute(usimrank.AlgSRSP, u, v)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := rebuilt.Compute(usimrank.AlgSRSP, u, v)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got != want {
-					t.Fatalf("shared=%v par=%d score(%d,%d): %v vs %v", shared, par, u, v, got, want)
-				}
-			}
-			gotTK, err := usimrank.TopKSimilar(e, usimrank.AlgSRSP, src, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantTK, err := usimrank.TopKSimilar(rebuilt, usimrank.AlgSRSP, src, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(gotTK) != len(wantTK) {
-				t.Fatalf("shared=%v par=%d topk: %d vs %d results", shared, par, len(gotTK), len(wantTK))
-			}
-			for i := range wantTK {
-				if gotTK[i] != wantTK[i] {
-					t.Fatalf("shared=%v par=%d topk[%d]: %+v vs %+v", shared, par, i, gotTK[i], wantTK[i])
-				}
-			}
-			pairs := [][2]int{{src, 0}, {src, 1}, {0, src}, {2, 3}, {3, 2}}
-			gotB := usimrank.Batch(e, usimrank.AlgSRSP, pairs, 0)
-			wantB := usimrank.Batch(rebuilt, usimrank.AlgSRSP, pairs, 0)
-			for i := range wantB {
-				if gotB[i].Err != nil || gotB[i].Value != wantB[i].Value {
-					t.Fatalf("shared=%v par=%d batch[%d]: %+v vs %+v", shared, par, i, gotB[i], wantB[i])
-				}
-			}
-			verts := []int{0, 1, 2, src}
-			gotM, err := e.SRSPMatrix(verts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantM, err := rebuilt.SRSPMatrix(verts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range wantM {
-				for j := range wantM[i] {
-					if gotM[i][j] != wantM[i][j] {
-						t.Fatalf("shared=%v par=%d SRSPMatrix[%d][%d]: %v vs %v", shared, par, i, j, gotM[i][j], wantM[i][j])
-					}
+		}
+		verts := []int{0, 1, 2, src}
+		gotM, err := e.SRSPMatrix(verts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantM, err := rebuilt.SRSPMatrix(verts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range wantM {
+			for j := range wantM[i] {
+				if gotM[i][j] != wantM[i][j] {
+					t.Fatalf("par=%d SRSPMatrix[%d][%d]: %v vs %v", par, i, j, gotM[i][j], wantM[i][j])
 				}
 			}
 		}

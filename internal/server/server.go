@@ -466,14 +466,16 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 // the label values of usimrank_update_phase_seconds_total: the engine's
 // (core.UpdatePhases, in order), then the index patch and the drain of
 // the old generation.
-var updatePhases = [...]string{"compact", "evict_bfs", "touch_bfs", "row_carry", "filters", "index_patch", "drain"}
+var updatePhases = [...]string{"compact", "touch_bfs", "row_carry", "filters", "index_patch", "drain"}
 
 // ApplyUpdates applies a batch of arc mutations incrementally: a
 // successor engine is derived from the resident one — mutated CSR
-// compacted from the update overlay, row-cache entries outside the walk
-// horizon of every touched arc carried over warm, built SR-SP filter
-// pools patched by invalidating each touched vertex (re-sampled by the
-// first SR-SP query that reaches it, never by the update) — and swapped
+// compacted from the update overlay, one invalidation BFS from the
+// net-changed arc heads, row-cache entries it does not reach carried
+// over warm, built SR-SP filter pools patched by invalidating each
+// net-changed head (re-sampled by the first SR-SP query that reaches
+// it, never by the update), the resident index patched on the sources
+// the BFS reached — and swapped
 // in exactly like a reload: new handle published first, old engine
 // drained by its pinned requests. Queries admitted before the swap
 // finish on the old generation, queries admitted after it run on the
@@ -530,7 +532,7 @@ func (s *Server) ApplyUpdates(ups []usimrank.ArcUpdate) (*UpdateResponse, error)
 	drainStart := time.Now()
 	drained := old.awaitDrain(s.cfg.DrainTimeout)
 	ph := stats.Phases
-	phases := [len(updatePhases)]time.Duration{ph.Compact, ph.EvictBFS, ph.TouchBFS, ph.RowCarry, ph.Filters, idxTime, time.Since(drainStart)}
+	phases := [len(updatePhases)]time.Duration{ph.Compact, ph.TouchBFS, ph.RowCarry, ph.Filters, idxTime, time.Since(drainStart)}
 	var phaseLog strings.Builder
 	for i, d := range phases {
 		s.updatePhaseNs[i].Add(int64(d))

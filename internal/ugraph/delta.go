@@ -6,6 +6,8 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strconv"
+	"strings"
 )
 
 // UpdateOp selects the kind of one arc mutation.
@@ -49,6 +51,61 @@ func ParseUpdateOp(s string) (UpdateOp, error) {
 	default:
 		return 0, fmt.Errorf("ugraph: unknown update op %q (want insert, delete or reweight)", s)
 	}
+}
+
+// ParseUpdateSpec parses the compact update syntax of the usim and
+// usim-index -update flags: "op:u,v[,p]" triples separated by ';', e.g.
+// "reweight:3,17,0.9;delete:4,1". Space around a triple, its op and its
+// values is ignored, and empty triples are skipped; an empty spec is no
+// updates. Each error starts with the failing triple, quoted (the whole
+// spec when it holds no triple), so a command can prefix its flag name.
+// Vertex ranges and arc existence are left to staging.
+func ParseUpdateSpec(spec string) ([]ArcUpdate, error) {
+	if spec == "" {
+		return nil, nil
+	}
+	var ups []ArcUpdate
+	for _, part := range strings.Split(spec, ";") {
+		part = strings.TrimSpace(part)
+		if part == "" {
+			continue
+		}
+		opName, rest, ok := strings.Cut(part, ":")
+		if !ok {
+			return nil, fmt.Errorf("%q: want op:u,v[,p]", part)
+		}
+		op, err := ParseUpdateOp(strings.TrimSpace(opName))
+		if err != nil {
+			return nil, fmt.Errorf("%q: %v", part, err)
+		}
+		fields := strings.Split(rest, ",")
+		wantFields := 3
+		if op == OpDelete {
+			wantFields = 2
+		}
+		if len(fields) != wantFields {
+			return nil, fmt.Errorf("%q: %s takes %d comma-separated values", part, op, wantFields)
+		}
+		u, err := strconv.Atoi(strings.TrimSpace(fields[0]))
+		if err != nil {
+			return nil, fmt.Errorf("%q: bad vertex %q", part, fields[0])
+		}
+		v, err := strconv.Atoi(strings.TrimSpace(fields[1]))
+		if err != nil {
+			return nil, fmt.Errorf("%q: bad vertex %q", part, fields[1])
+		}
+		up := ArcUpdate{Op: op, U: u, V: v}
+		if op != OpDelete {
+			if up.P, err = strconv.ParseFloat(strings.TrimSpace(fields[2]), 64); err != nil {
+				return nil, fmt.Errorf("%q: bad probability %q", part, fields[2])
+			}
+		}
+		ups = append(ups, up)
+	}
+	if len(ups) == 0 {
+		return nil, fmt.Errorf("%q: no updates", spec)
+	}
+	return ups, nil
 }
 
 // ArcUpdate is one staged arc mutation. P is the new existence
@@ -184,11 +241,12 @@ func (d *Delta) netChanged(key [2]int32, st arcState) bool {
 
 // NetChangedHeads returns the sorted distinct heads (target vertices)
 // of the arcs NetChanges counts — the staged arcs whose final state
-// really differs from the base graph. Unlike TouchedHeads, a staged
-// sequence that nets out (insert undone by delete, reweight back to
-// the original bits) contributes nothing: these are the BFS seeds for
-// consumers that must not react to no-op batches, such as the
-// continuous-query plane's subscription wake-up.
+// really differs from the base graph. These are exactly the vertices
+// whose in-arc set, and so whose out-row on the reversed graph where
+// the SimRank walks run, differs after Compact: a staged sequence that
+// nets out (insert undone by delete, reweight back to the original
+// bits) leaves a byte-identical row and contributes nothing. They seed
+// the update plane's one invalidation BFS.
 func (d *Delta) NetChangedHeads() []int32 {
 	seen := make(map[int32]bool, len(d.staged))
 	var heads []int32
@@ -262,24 +320,6 @@ func (d *Delta) OutArcs(u int) (dst []int32, probs []float64) {
 		}
 	}
 	return dst, probs
-}
-
-// TouchedHeads returns the sorted distinct heads (target vertices) of
-// every staged arc. These are the vertices whose in-arc set — and
-// therefore whose out-row on the reversed graph, where the SimRank
-// walks run — may have changed; they are the BFS seeds of the engine's
-// targeted invalidation.
-func (d *Delta) TouchedHeads() []int32 {
-	seen := make(map[int32]bool, len(d.staged))
-	var heads []int32
-	for key := range d.staged {
-		if !seen[key[1]] {
-			seen[key[1]] = true
-			heads = append(heads, key[1])
-		}
-	}
-	sort.Slice(heads, func(i, j int) bool { return heads[i] < heads[j] })
-	return heads
 }
 
 // Reversed returns the overlay's mirror over revBase, the reversed base

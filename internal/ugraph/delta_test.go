@@ -2,6 +2,7 @@ package ugraph
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"usimrank/internal/rng"
@@ -312,6 +313,48 @@ func TestUpdateOpStringAndParse(t *testing.T) {
 	}
 	if s := UpdateOp(99).String(); s != "UpdateOp(99)" {
 		t.Fatalf("unknown op string %q", s)
+	}
+}
+
+// TestParseUpdateSpec pins the -update syntax of usim and usim-index:
+// the updates each valid spec yields and the exact text of each error,
+// which the commands print after "-update ".
+func TestParseUpdateSpec(t *testing.T) {
+	cases := []struct {
+		spec string
+		want []ArcUpdate
+		err  string
+	}{
+		{spec: ""},
+		{spec: "insert:0,1,0.5", want: []ArcUpdate{{Op: OpInsert, U: 0, V: 1, P: 0.5}}},
+		{spec: "reweight:3,17,0.9;delete:4,1", want: []ArcUpdate{
+			{Op: OpReweight, U: 3, V: 17, P: 0.9}, {Op: OpDelete, U: 4, V: 1}}},
+		{spec: " ins : 1 , 2 , 0.25 ;\tdel: 2,3\n", want: []ArcUpdate{
+			{Op: OpInsert, U: 1, V: 2, P: 0.25}, {Op: OpDelete, U: 2, V: 3}}},
+		{spec: ";rw:1,2,1;; ;insert:2,1,1e-1;", want: []ArcUpdate{
+			{Op: OpReweight, U: 1, V: 2, P: 1}, {Op: OpInsert, U: 2, V: 1, P: 0.1}}},
+		{spec: ";; ;", err: `";; ;": no updates`},
+		{spec: "insert 1,2,0.5", err: `"insert 1,2,0.5": want op:u,v[,p]`},
+		{spec: "delete:1,2,0.5", err: `"delete:1,2,0.5": delete takes 2 comma-separated values`},
+		{spec: "insert:1,2", err: `"insert:1,2": insert takes 3 comma-separated values`},
+		{spec: "rw:1,2,0.5,0.5", err: `"rw:1,2,0.5,0.5": reweight takes 3 comma-separated values`},
+		{spec: "insert:x,2,0.5", err: `"insert:x,2,0.5": bad vertex "x"`},
+		{spec: "delete:1, y", err: `"delete:1, y": bad vertex " y"`},
+		{spec: "delete:1,", err: `"delete:1,": bad vertex ""`},
+		{spec: "reweight:1,2,high", err: `"reweight:1,2,high": bad probability "high"`},
+		{spec: "move:1,2", err: `"move:1,2": ugraph: unknown update op "move" (want insert, delete or reweight)`},
+		{spec: "insert:0,1,0.5; bogus", err: `"bogus": want op:u,v[,p]`},
+	}
+	for _, c := range cases {
+		got, err := ParseUpdateSpec(c.spec)
+		switch {
+		case c.err != "":
+			if err == nil || err.Error() != c.err {
+				t.Errorf("ParseUpdateSpec(%q) = %v, %v; want error %s", c.spec, got, err, c.err)
+			}
+		case err != nil || !slices.Equal(got, c.want):
+			t.Errorf("ParseUpdateSpec(%q) = %v, %v; want %v", c.spec, got, err, c.want)
+		}
 	}
 }
 

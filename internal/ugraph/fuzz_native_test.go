@@ -210,10 +210,12 @@ func fuzzDeltaInput(t *testing.T, data []byte) (*Graph, *Delta, []ArcUpdate) {
 
 // FuzzDeltaCompact checks Compact against a Builder rebuild bit for bit,
 // the reversed overlay against the reverse of the compacted graph, and
-// SameDegrees against the compacted graph. A BoundedDistances over the
-// new graph alone must equal the run over both graphs at every depth,
-// from either seed set the update plane uses (every staged head, and
-// the net-changed heads), whatever the batch deletes.
+// SameDegrees against the compacted graph. Every vertex outside
+// NetChangedHeads must keep a bit-identical reversed out-row, even when
+// staged arcs into it net out. A BoundedDistances over the new graph
+// alone must equal the run over both graphs at every depth, from the
+// net-changed heads (the update plane's seed set), whatever the batch
+// deletes.
 func FuzzDeltaCompact(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, d, ups := fuzzDeltaInput(t, data)
@@ -233,12 +235,26 @@ func FuzzDeltaCompact(f *testing.F) {
 				same = same && hi < g.NumVertices() && g.OutDegree(hi) == got.OutDegree(hi)
 			}
 		}
-		for _, heads := range [][]int32{d.TouchedHeads(), d.NetChangedHeads()} {
-			for depth := 0; depth <= g.NumVertices(); depth++ {
-				both, alone := BoundedDistances(heads, depth, g, got), BoundedDistances(heads, depth, got)
-				if !slices.Equal(both, alone) {
-					t.Fatalf("depth %d from %v: new graph alone %v, both graphs %v", depth, heads, alone, both)
-				}
+		heads := d.NetChangedHeads()
+		oldRev, newRev := g.Reverse(), got.Reverse()
+		for v := 0; v < g.NumVertices(); v++ {
+			if _, changed := slices.BinarySearch(heads, int32(v)); changed {
+				continue
+			}
+			ps, qs := oldRev.OutProbs(v), newRev.OutProbs(v)
+			same := slices.Equal(oldRev.Out(v), newRev.Out(v)) && len(ps) == len(qs)
+			for i := 0; same && i < len(ps); i++ {
+				same = math.Float64bits(ps[i]) == math.Float64bits(qs[i])
+			}
+			if !same {
+				t.Fatalf("vertex %d is not a net-changed head, yet its reversed out-row went from %v %v to %v %v",
+					v, oldRev.Out(v), ps, newRev.Out(v), qs)
+			}
+		}
+		for depth := 0; depth <= g.NumVertices(); depth++ {
+			both, alone := BoundedDistances(heads, depth, g, got), BoundedDistances(heads, depth, got)
+			if !slices.Equal(both, alone) {
+				t.Fatalf("depth %d from %v: new graph alone %v, both graphs %v", depth, heads, alone, both)
 			}
 		}
 	})

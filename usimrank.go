@@ -268,12 +268,16 @@ func LoadIndexFile(path string) (*Index, error) { return index.Load(path) }
 
 // PatchIndex derives the successor generation's index after
 // Engine.ApplyUpdates without a full rebuild: succ is the engine
-// ApplyUpdates returned, and updates the batch. oldG, the old graph, is
-// ignored. Only vertices within the walk horizon of a touched arc head
-// are recomputed; the result is bit-identical to BuildIndex(succ).
-// Returns the patched index and the number of recomputed vertices.
+// ApplyUpdates returned, or a Clone of it. Only the vertices the
+// update reached within the walk horizon (succ.TouchedSources) are
+// recomputed; the result is bit-identical to BuildIndex(succ). Returns
+// the patched index and the number of recomputed vertices.
+//
+// oldG and updates are ignored: succ already knows what its update
+// reached. They stay in the signature so existing callers keep
+// compiling.
 func PatchIndex(x *Index, succ *Engine, oldG *Graph, updates []ArcUpdate) (*Index, int, error) {
-	return index.Patch(x, succ, updates)
+	return index.Patch(x, succ)
 }
 
 // TopKResult is one scored vertex (or pair) of a top-k query.
